@@ -11,7 +11,6 @@ use cg_campaign::ExecutorKind;
 use cg_fault::FaultClass;
 use cg_graph::random::{generate, GenConfig};
 use cg_graph::NodeKind;
-use cg_runtime::ParTransport;
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_corpus")
@@ -27,7 +26,6 @@ fn golden_case(seed: u64, gen: &GenConfig) -> ReproCase {
         frames: 6,
         queue_capacity: profile.queue_demand.max(8) as usize,
         executor: ExecutorKind::Deterministic,
-        transport: ParTransport::LockFree,
         class: FaultClass::Baseline,
         mtbe: 256,
     }
@@ -51,6 +49,8 @@ fn hundred_seeds_execute_error_free_to_frame_exact_sinks() {
 }
 
 /// Every committed corpus artifact must replay to its recorded verdict.
+/// The artifacts predate the single threaded transport and still carry
+/// a `"transport"` key, which replay ignores.
 #[test]
 fn fuzz_corpus_replays_to_recorded_verdicts() {
     let dir = corpus_dir();
@@ -189,12 +189,12 @@ fn regenerate_corpus() {
     std::fs::rename(&path, &renamed).expect("rename artifact");
     println!("wrote {} (fail)", renamed.display());
 
-    // 6. Tight (near-full) capacity under the batched-transport parity
-    //    oracle: capacity exactly equals the hottest edge's demand.
+    // 6. Tight (near-full) capacity under the parity oracle: capacity
+    //    exactly equals the hottest edge's demand. (The file name keeps
+    //    the `batched` suffix of the transport it was first recorded on.)
     let base = golden_case(53, &GenConfig::default());
     let tight = ReproCase {
         oracle: Oracle::Parity,
-        transport: ParTransport::Batched,
         ..base
     };
     record("06_tight_capacity_parity_batched.json", &tight);

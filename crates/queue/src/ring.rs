@@ -68,8 +68,8 @@ impl std::fmt::Display for PushError {
 impl std::error::Error for PushError {}
 
 /// Slot storage: a plain vector when one owner holds the whole queue (the
-/// deterministic executor, or a mutex-guarded [`crate::SharedQueue`]), or
-/// an atomic array shared by a lock-free producer/consumer view pair.
+/// deterministic executor), or an atomic array shared by a lock-free
+/// producer/consumer view pair ([`crate::spsc_pair`]).
 #[derive(Clone)]
 enum Slots {
     Local(Vec<Unit>),

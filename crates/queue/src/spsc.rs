@@ -1,8 +1,7 @@
-//! Lock-free SPSC transport for [`SimQueue`]s shared between two threads.
+//! Lock-free SPSC transport for [`SimQueue`]s shared between two threads —
+//! the threaded executor's only transport.
 //!
-//! [`SharedQueue`](crate::SharedQueue) serialises every transfer through a
-//! `Mutex` + two `Condvar`s; this module removes that serialisation. The
-//! ring slots and the shared head/tail pointers move into atomic storage
+//! The ring slots and the shared head/tail pointers live in atomic storage
 //! shared by **two independent [`SimQueue`] views** — one owned by the
 //! producer endpoint, one by the consumer — so the steady-state push/pop
 //! path is exactly the paper's §5.1 protocol with no lock anywhere:
@@ -23,14 +22,13 @@
 //!
 //! Blocking is spin-then-park: a bounded burst of `spin_loop` hints and
 //! `yield_now` calls, then `thread::park_timeout` in short slices with
-//! explicit unpark tokens. The [`SharedQueue`](crate::SharedQueue)
-//! semantics the rest of the stack depends on are preserved: endpoints
-//! close on drop (a dead peer is an error, not a hang), a finished
-//! producer leaves the queue drainable, and a stall timeout bounds every
-//! wait. The park/unpark slow path is the *only* place a `Mutex` appears
-//! (a registry of thread handles that is touched strictly after spinning
-//! has failed); see `DESIGN.md` for the memory-ordering and lost-wakeup
-//! argument.
+//! explicit unpark tokens. Endpoints close on drop (a dead peer is a
+//! [`WaitError::PeerClosed`], not a hang), a finished producer leaves the
+//! queue drainable, and a stall timeout bounds every wait
+//! ([`WaitError::TimedOut`]). The park/unpark slow path is the *only*
+//! place a `Mutex` appears (a registry of thread handles that is touched
+//! strictly after spinning has failed); see `DESIGN.md` for the
+//! memory-ordering and lost-wakeup argument.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,9 +40,30 @@ use cg_trace::Tracer;
 
 use crate::ptr::PointerMode;
 use crate::ring::{QueueSpec, SimQueue};
-use crate::shared::WaitError;
 use crate::stats::QueueStats;
 use crate::unit::Unit;
+
+/// Why a blocking operation gave up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitError {
+    /// The opposite endpoint was closed (peer finished or died) while this
+    /// side could not make progress.
+    PeerClosed,
+    /// No progress within the stall timeout, with the peer still open —
+    /// the backstop against silent deadlock.
+    TimedOut,
+}
+
+impl std::fmt::Display for WaitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WaitError::PeerClosed => write!(f, "peer endpoint closed"),
+            WaitError::TimedOut => write!(f, "stalled past the timeout"),
+        }
+    }
+}
+
+impl std::error::Error for WaitError {}
 
 /// Pads and aligns a value to a cache line so the producer's and
 /// consumer's hot atomics never false-share.
@@ -313,9 +332,9 @@ const SPIN_YIELDS: u32 = 4;
 pub const DEFAULT_PARK_SLICE: Duration = Duration::from_millis(1);
 
 /// Retries `f` on `q` until it reports progress, spinning then parking
-/// between attempts; the lock-free analogue of
-/// [`SharedQueue::produce`](crate::SharedQueue::produce)/`consume` with
-/// identical error semantics.
+/// between attempts. Gives up with [`WaitError::PeerClosed`] once the peer
+/// is closed and `f` still cannot progress, or [`WaitError::TimedOut`]
+/// after `stall`.
 fn blocking_op<R>(
     q: &mut SimQueue,
     ctrl: &Ctrl,
@@ -861,8 +880,7 @@ mod tests {
         });
     }
 
-    /// Seeded interleaving stress, mirroring the `SharedQueue` idiom:
-    /// random batch sizes on both sides, a tiny queue to force constant
+    /// Seeded interleaving stress: random batch sizes on both sides, a tiny queue to force constant
     /// blocking, occasional flushes and forced reschedules.
     #[test]
     fn seeded_interleaving_stress() {

@@ -1,6 +1,6 @@
 //! A threaded executor: one OS thread per node, edges carried by
-//! blocking [`SharedQueue`]s with a batched transport, and a frame-level
-//! checkpoint/re-execute recovery ladder for error-prone runs.
+//! lock-free SPSC rings, and a frame-level checkpoint/re-execute recovery
+//! ladder for error-prone runs.
 //!
 //! The deterministic executor ([`crate::run`]) is the measurement
 //! instrument — bit-reproducible, with scheduler-round-accurate fault
@@ -15,8 +15,8 @@
 //! ## Recovery ladder
 //!
 //! Error-free configurations keep strict semantics: any stall or dead
-//! peer is a [`RunError::Parallel`]. With faults enabled (and
-//! [`ParFaults::Recover`], the default), workers instead recover:
+//! peer is a [`RunError::Parallel`]. With faults enabled, workers instead
+//! recover:
 //!
 //! 1. **Blocked queue operations** are bounded by
 //!    [`SimConfig::stall_timeout`]; a stalled header drain or output push
@@ -46,35 +46,33 @@
 //!
 //! ## Transport
 //!
-//! The default [`ParTransport::LockFree`] carries every edge over a
-//! lock-free SPSC ring ([`cg_queue::spsc_pair`]): the producer and
-//! consumer each own an independent queue view, synchronise only through
-//! cache-line-padded atomic shared pointers (published once per working
-//! set, re-read on apparent-full/empty), and block with a spin-then-park
-//! slow path. No mutex or condvar is touched on the steady-state push/pop
-//! path. The mutex/condvar [`SharedQueue`] transports are retained as
-//! baselines: [`ParTransport::Batched`] moves a whole firing's worth of
-//! units per lock acquisition through
-//! [`CoreGuard::pop_batch`]/[`CoreGuard::push_batch`],
-//! [`ParTransport::PerItem`] one unit per acquisition. All three drive
-//! the same guard code over the same [`SimQueue`] protocol, so guarded
-//! behaviour is bit-identical across transports. Each worker closes its
-//! queue endpoints on exit — including panic unwinds — so a dead
-//! neighbour surfaces promptly instead of hanging the run; the stall
-//! timeout backstops everything else.
+//! Every edge is a lock-free SPSC ring ([`cg_queue::spsc_pair_with`]):
+//! the producer and consumer each own an independent queue view,
+//! synchronise only through cache-line-padded atomic shared pointers
+//! (published once per working set, re-read on apparent-full/empty), and
+//! block with a spin-then-park slow path. No mutex or condvar is touched
+//! on the steady-state push/pop path. Workers move a whole firing's worth
+//! of units per blocking call through
+//! [`CoreGuard::pop_batch`]/[`CoreGuard::push_batch`], driving the same
+//! guard code over the same [`SimQueue`] protocol as the deterministic
+//! executor, so guarded behaviour is bit-identical to it. Each worker
+//! owns its endpoints, and dropping an endpoint closes it — on normal
+//! exit and panic unwind alike — so a dead neighbour surfaces promptly
+//! instead of hanging the run; the stall timeout backstops everything
+//! else.
 
 use cg_fault::{CoreInjector, StuckAtState};
 use cg_graph::{EdgeId, NodeId, NodeKind};
 use cg_queue::{
-    spsc_pair_with, QueueSpec, QueueStats, SharedQueue, Side, SimQueue, SpscConsumer, SpscProducer,
-    SpscStats, WaitError, Which,
+    spsc_pair_with, QueueSpec, QueueStats, SimQueue, SpscConsumer, SpscProducer, SpscStats,
+    WaitError, Which,
 };
 use cg_telemetry::{Clock, ClockMode, CoreProbe};
 use cg_trace::{Event, MACHINE_CORE};
 use commguard::CoreGuard;
 use rand::Rng;
 
-use crate::config::{ParFaults, SimConfig};
+use crate::config::SimConfig;
 use crate::faults::{
     apply_perturbation, burst_flip_random_item, flip_random_item, garble_random_item,
     partition_events,
@@ -85,115 +83,13 @@ use crate::report::{NodeReport, RunReport};
 use crate::watchdog::WatchdogStats;
 use crate::RunError;
 
-/// How the threaded executor moves units between worker threads.
+/// How the threaded executor moves units between worker threads. One
+/// variant remains; the type keeps [`run_parallel_with`] callers compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParTransport {
-    /// One queue-lock acquisition per unit — the historical transport,
-    /// kept as the benchmark baseline.
-    PerItem,
-    /// One lock acquisition per firing per port, moving whole batches.
-    Batched,
-    /// Lock-free SPSC rings: batched transfers with no lock anywhere on
-    /// the steady-state push/pop path (the default).
+    /// Lock-free SPSC rings: the only transport.
     #[default]
     LockFree,
-}
-
-impl ParTransport {
-    /// Parses a transport name as used by the campaign CLI and bench
-    /// reports.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "per-item" | "peritem" => Some(ParTransport::PerItem),
-            "batched" => Some(ParTransport::Batched),
-            "lock-free" | "lockfree" => Some(ParTransport::LockFree),
-            _ => None,
-        }
-    }
-
-    /// Stable label, the inverse of [`Self::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            ParTransport::PerItem => "per-item",
-            ParTransport::Batched => "batched",
-            ParTransport::LockFree => "lock-free",
-        }
-    }
-}
-
-/// A worker's producing endpoint on one out-edge: a borrowed
-/// mutex-guarded queue, or an owned lock-free endpoint. Dropping the port
-/// (normal exit and panic unwind alike) closes the endpoint so blocked
-/// neighbours observe a dead peer instead of waiting out the stall
-/// timeout.
-///
-/// The variants are deliberately unboxed: the `LockFree` endpoint embeds
-/// the producer's whole `SimQueue` view, and boxing it would put a heap
-/// indirection on every steady-state push. Ports live in one small
-/// per-worker `Vec` built once per run, so the size skew is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum PushPort<'a> {
-    Locked(&'a SharedQueue),
-    LockFree(SpscProducer),
-}
-
-impl PushPort<'_> {
-    fn produce<R>(&mut self, f: impl FnMut(&mut SimQueue) -> Option<R>) -> Result<R, WaitError> {
-        match self {
-            PushPort::Locked(q) => q.produce(f),
-            PushPort::LockFree(p) => p.produce(f),
-        }
-    }
-
-    fn with<R>(&mut self, f: impl FnOnce(&mut SimQueue) -> R) -> R {
-        match self {
-            PushPort::Locked(q) => q.with(f),
-            PushPort::LockFree(p) => p.with(f),
-        }
-    }
-}
-
-impl Drop for PushPort<'_> {
-    fn drop(&mut self) {
-        match self {
-            PushPort::Locked(q) => q.close(Side::Producer),
-            // The owned endpoint closes itself when dropped.
-            PushPort::LockFree(_) => {}
-        }
-    }
-}
-
-/// A worker's consuming endpoint on one in-edge; see [`PushPort`]
-/// (including why the large variant is not boxed).
-#[allow(clippy::large_enum_variant)]
-enum PopPort<'a> {
-    Locked(&'a SharedQueue),
-    LockFree(SpscConsumer),
-}
-
-impl PopPort<'_> {
-    fn consume<R>(&mut self, f: impl FnMut(&mut SimQueue) -> Option<R>) -> Result<R, WaitError> {
-        match self {
-            PopPort::Locked(q) => q.consume(f),
-            PopPort::LockFree(c) => c.consume(f),
-        }
-    }
-
-    fn with<R>(&mut self, f: impl FnOnce(&mut SimQueue) -> R) -> R {
-        match self {
-            PopPort::Locked(q) => q.with(f),
-            PopPort::LockFree(c) => c.with(f),
-        }
-    }
-}
-
-impl Drop for PopPort<'_> {
-    fn drop(&mut self) {
-        match self {
-            PopPort::Locked(q) => q.close(Side::Consumer),
-            PopPort::LockFree(_) => {}
-        }
-    }
 }
 
 /// Runs `f` on the queue behind attached-port index `idx`, where the
@@ -201,8 +97,8 @@ impl Drop for PopPort<'_> {
 /// (matching the historical `attached` edge list, so per-seed fault
 /// targeting is unchanged).
 fn with_attached_queue<R>(
-    in_ports: &mut [PopPort<'_>],
-    out_ports: &mut [PushPort<'_>],
+    in_ports: &mut [SpscConsumer],
+    out_ports: &mut [SpscProducer],
     idx: usize,
     f: impl FnOnce(&mut SimQueue) -> R,
 ) -> R {
@@ -233,8 +129,8 @@ fn stall_error(node: &str, action: &str, edge: &str, err: WaitError) -> RunError
 /// land in the guard's own soft state, where checked triplication heals
 /// it at the next scrub point.
 fn par_addressing_fault(
-    in_ports: &mut [PopPort<'_>],
-    out_ports: &mut [PushPort<'_>],
+    in_ports: &mut [SpscConsumer],
+    out_ports: &mut [SpscProducer],
     staged_in: &mut [Vec<u32>],
     staged_out: &mut [Vec<u32>],
     injector: &mut CoreInjector,
@@ -275,8 +171,8 @@ fn par_addressing_fault(
 
 /// Threaded mirror of the concentrated `PointerCorruption` class.
 fn par_pointer_fault(
-    in_ports: &mut [PopPort<'_>],
-    out_ports: &mut [PushPort<'_>],
+    in_ports: &mut [SpscConsumer],
+    out_ports: &mut [SpscProducer],
     staged_in: &mut [Vec<u32>],
     staged_out: &mut [Vec<u32>],
     injector: &mut CoreInjector,
@@ -303,8 +199,8 @@ fn par_pointer_fault(
 
 /// Threaded mirror of the concentrated `HeaderCorruption` class.
 fn par_header_fault(
-    in_ports: &mut [PopPort<'_>],
-    out_ports: &mut [PushPort<'_>],
+    in_ports: &mut [SpscConsumer],
+    out_ports: &mut [SpscProducer],
     staged_in: &mut [Vec<u32>],
     staged_out: &mut [Vec<u32>],
     injector: &mut CoreInjector,
@@ -330,25 +226,8 @@ fn par_header_fault(
     }
 }
 
-/// Runs `program` with one thread per node and the lock-free transport.
-///
-/// # Errors
-///
-/// Returns [`RunError`] for unbound nodes or inconsistent schedules,
-/// [`RunError::BadEffectModel`] when errors are enabled but
-/// [`SimConfig::par_faults`] is [`ParFaults::Deny`], and
-/// [`RunError::Parallel`] when an *error-free* run stalls past the
-/// transport timeout or a worker dies. Error-prone runs with
-/// [`ParFaults::Recover`] never error from faults: they retry and then
-/// degrade (worker panics remain fatal).
-pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, RunError> {
-    run_parallel_with(program, config, ParTransport::LockFree)
-}
-
-/// [`run_parallel`] with an explicit transport choice (the benchmark
-/// harness compares [`ParTransport::PerItem`] and
-/// [`ParTransport::Batched`] against the default
-/// [`ParTransport::LockFree`]).
+/// [`run_parallel`] with an explicit transport; [`ParTransport`] has a
+/// single variant, so this is the same run.
 ///
 /// # Errors
 ///
@@ -356,17 +235,21 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
 pub fn run_parallel_with(
     program: Program,
     config: &SimConfig,
-    transport: ParTransport,
+    _transport: ParTransport,
 ) -> Result<RunReport, RunError> {
+    run_parallel(program, config)
+}
+
+/// Runs `program` with one thread per node over lock-free SPSC rings.
+///
+/// # Errors
+///
+/// Returns [`RunError`] for unbound nodes or inconsistent schedules, and
+/// [`RunError::Parallel`] when an *error-free* run stalls past the
+/// transport timeout or a worker dies. Error-prone runs never error from
+/// faults: they retry and then degrade (worker panics remain fatal).
+pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, RunError> {
     let errors_on = config.faults_enabled();
-    if errors_on && config.par_faults == ParFaults::Deny {
-        return Err(RunError::BadEffectModel(
-            "error injection denied for the threaded executor \
-             (SimConfig::par_faults is ParFaults::Deny); use cg_runtime::run \
-             or allow ParFaults::Recover"
-                .into(),
-        ));
-    }
     program.validate_bound().map_err(RunError::UnboundNode)?;
     if errors_on {
         config
@@ -396,34 +279,19 @@ pub fn run_parallel_with(
     let paced_on = config.pacing.is_paced();
     let pace = PacedSource::new(config.pacing, Clock::new(ClockMode::Wall));
 
-    let lock_free = transport == ParTransport::LockFree;
-    let spec = || {
-        QueueSpec::with_capacity(config.queue_capacity)
-            .pointer_mode(config.protection.pointer_mode())
-    };
-    // Locked transports share one mutex-guarded queue per edge; the
-    // lock-free transport instead hands each endpoint thread its own
-    // owned view (taken out of these slots in the spawn loop below) plus
-    // a stats handle that stays behind for post-join collection.
-    let queues: Vec<SharedQueue> = if lock_free {
-        Vec::new()
-    } else {
-        graph
-            .edges()
-            .map(|_| SharedQueue::with_stall_timeout(SimQueue::new(spec()), config.stall_timeout))
-            .collect()
-    };
-    let mut lf_producers: Vec<Option<SpscProducer>> = Vec::new();
-    let mut lf_consumers: Vec<Option<SpscConsumer>> = Vec::new();
-    let mut lf_stats: Vec<SpscStats> = Vec::new();
-    if lock_free {
-        for _ in graph.edges() {
-            let (p, c, s) =
-                spsc_pair_with(spec(), config.stall_timeout, config.effective_park_slice());
-            lf_producers.push(Some(p));
-            lf_consumers.push(Some(c));
-            lf_stats.push(s);
-        }
+    // Each endpoint thread gets its own owned queue view (taken out of
+    // these slots in the spawn loop below); the stats handles stay behind
+    // for post-join collection.
+    let mut producers: Vec<Option<SpscProducer>> = Vec::new();
+    let mut consumers: Vec<Option<SpscConsumer>> = Vec::new();
+    let mut edge_stats: Vec<SpscStats> = Vec::new();
+    for _ in graph.edges() {
+        let spec = QueueSpec::with_capacity(config.queue_capacity)
+            .pointer_mode(config.protection.pointer_mode());
+        let (p, c, s) = spsc_pair_with(spec, config.stall_timeout, config.effective_park_slice());
+        producers.push(Some(p));
+        consumers.push(Some(c));
+        edge_stats.push(s);
     }
     // Human-readable edge labels for stuck-edge errors.
     let edge_labels: Vec<String> = graph
@@ -437,13 +305,6 @@ pub fn run_parallel_with(
             )
         })
         .collect();
-    // A batch never needs to exceed one firing's rate; `PerItem` degrades
-    // every batch to a single unit.
-    let chunk_limit: usize = match transport {
-        ParTransport::PerItem => 1,
-        ParTransport::Batched | ParTransport::LockFree => usize::MAX,
-    };
-
     struct ThreadResult {
         node: NodeId,
         in_edges: Vec<EdgeId>,
@@ -480,36 +341,24 @@ pub fn run_parallel_with(
             // The worker owns its probe outright (lock-free by
             // ownership); it travels back in the ThreadResult.
             let mut probe = telem.probe(core_id, node.name());
-            // Build this worker's ports up front (lock-free endpoints are
-            // moved out of their slots exactly once). The ports travel
-            // into the worker closure, so a panic unwind drops — and
-            // therefore closes — them.
-            let in_ports: Vec<PopPort<'_>> = in_edges
+            // Build this worker's ports up front (endpoints are moved out
+            // of their slots exactly once). The ports travel into the
+            // worker closure, so a panic unwind drops — and therefore
+            // closes — them.
+            let in_ports: Vec<SpscConsumer> = in_edges
                 .iter()
                 .map(|&e| {
-                    if lock_free {
-                        PopPort::LockFree(
-                            lf_consumers[e.index()]
-                                .take()
-                                .expect("each edge has exactly one consumer"),
-                        )
-                    } else {
-                        PopPort::Locked(&queues[e.index()])
-                    }
+                    consumers[e.index()]
+                        .take()
+                        .expect("each edge has exactly one consumer")
                 })
                 .collect();
-            let out_ports: Vec<PushPort<'_>> = out_edges
+            let out_ports: Vec<SpscProducer> = out_edges
                 .iter()
                 .map(|&e| {
-                    if lock_free {
-                        PushPort::LockFree(
-                            lf_producers[e.index()]
-                                .take()
-                                .expect("each edge has exactly one producer"),
-                        )
-                    } else {
-                        PushPort::Locked(&queues[e.index()])
-                    }
+                    producers[e.index()]
+                        .take()
+                        .expect("each edge has exactly one producer")
                 })
                 .collect();
             let worker = move || -> Result<ThreadResult, RunError> {
@@ -635,7 +484,7 @@ pub fn run_parallel_with(
                                 break 'firings;
                             }
                             // Pop inputs: replay the frame log first, then
-                            // live pops (one lock acquisition per wakeup).
+                            // live pops (one batch per wakeup).
                             for (port, &e) in in_edges.iter().enumerate() {
                                 if fail.is_some() {
                                     break;
@@ -654,7 +503,7 @@ pub fn run_parallel_with(
                                 let live_from = staged_in[port].len();
                                 while staged_in[port].len() < need {
                                     let buf = &mut staged_in[port];
-                                    let max = (need - buf.len()).min(chunk_limit);
+                                    let max = need - buf.len();
                                     let w0 = probe.wait_begin();
                                     let popped = in_ports[port].consume(|q| {
                                         let got = guard.pop_batch(port, q, buf, max);
@@ -834,10 +683,9 @@ pub fn run_parallel_with(
                                 produced[port] += buf.len();
                                 let mut pos = committed[port].saturating_sub(before).min(buf.len());
                                 while pos < buf.len() {
-                                    let end = buf.len().min(pos.saturating_add(chunk_limit));
                                     let w0 = probe.wait_begin();
                                     let pushed = out_ports[port].produce(|q| {
-                                        let got = guard.push_batch(port, q, &buf[pos..end]);
+                                        let got = guard.push_batch(port, q, &buf[pos..]);
                                         (got > 0).then_some(got)
                                     });
                                     probe.wait_end(w0);
@@ -988,8 +836,8 @@ pub fn run_parallel_with(
                 guard.finish();
                 // Drain the end-of-computation header. With the consumer
                 // gone and the queue full this used to spin forever; the
-                // condvar wait is bounded, a dead peer is an error naming
-                // the stuck edge, and under recovery the header is forced.
+                // wait is bounded, a dead peer is an error naming the
+                // stuck edge, and under recovery the header is forced.
                 for (port, &e) in out_edges.iter().enumerate() {
                     let w0 = probe.wait_begin();
                     let drained = out_ports[port].produce(|q| guard.hi_tick(port, q).then_some(()));
@@ -1077,13 +925,9 @@ pub fn run_parallel_with(
         ..Default::default()
     };
     let mut wd = WatchdogStats::default();
-    // All workers have joined, so lock-free endpoint drops have merged
-    // their view stats into the per-edge handles.
-    let edge_stats: Vec<QueueStats> = if lock_free {
-        lf_stats.iter().map(SpscStats::read).collect()
-    } else {
-        queues.iter().map(|q| q.with(|q| *q.stats())).collect()
-    };
+    // All workers have joined, so endpoint drops have merged their view
+    // stats into the per-edge handles.
+    let edge_stats: Vec<QueueStats> = edge_stats.iter().map(SpscStats::read).collect();
     for s in &edge_stats {
         report.queues += *s;
     }
@@ -1236,45 +1080,12 @@ mod tests {
         assert_eq!(pr.latency.count(), FRAMES);
     }
 
-    #[test]
-    fn per_item_transport_matches_batched() {
-        let cfg = SimConfig {
-            protection: Protection::commguard(),
-            inject: false,
-            ..SimConfig::error_free(50)
-        };
-        let (p, sink) = program();
-        let batched = run_parallel_with(p, &cfg, ParTransport::Batched).unwrap();
-        let (p, _) = program();
-        let per_item = run_parallel_with(p, &cfg, ParTransport::PerItem).unwrap();
-        assert_eq!(batched.sink_output(sink), per_item.sink_output(sink));
-        assert_eq!(batched.queues.item_pushes, per_item.queues.item_pushes);
-        assert_eq!(batched.queues.header_pushes, per_item.queues.header_pushes);
-    }
-
-    #[test]
-    fn lock_free_transport_matches_batched() {
-        let cfg = SimConfig {
-            protection: Protection::commguard(),
-            inject: false,
-            ..SimConfig::error_free(50)
-        };
-        let (p, sink) = program();
-        let batched = run_parallel_with(p, &cfg, ParTransport::Batched).unwrap();
-        let (p, _) = program();
-        let lock_free = run_parallel_with(p, &cfg, ParTransport::LockFree).unwrap();
-        assert_eq!(batched.sink_output(sink), lock_free.sink_output(sink));
-        assert_eq!(batched.queues.item_pushes, lock_free.queues.item_pushes);
-        assert_eq!(batched.queues.header_pushes, lock_free.queues.header_pushes);
-        assert_eq!(batched.queues.header_pops, lock_free.queues.header_pops);
-    }
-
     /// Ten-seed bit-parity sweep for the zero-copy bulk paths: seeded
     /// pseudo-random data streams over per-seed queue geometries (firing
     /// rate, frame count, ring capacity — hence workset size and wrap
     /// cadence) must produce byte-identical sinks and conserved
-    /// item/header traffic on the batched and lock-free executors against
-    /// the deterministic golden run.
+    /// item/header traffic on the threaded executor against the
+    /// deterministic golden run.
     #[test]
     fn lock_free_bit_parity_across_seeds() {
         for seed in 1..=10u64 {
@@ -1310,42 +1121,26 @@ mod tests {
             };
             let (p, sink) = build();
             let det = run(p, &cfg).unwrap();
-            for transport in [ParTransport::Batched, ParTransport::LockFree] {
-                let (p, _) = build();
-                let got = run_parallel_with(p, &cfg, transport).unwrap();
-                let label = transport.label();
-                assert_eq!(
-                    got.sink_output(sink),
-                    det.sink_output(sink),
-                    "seed {seed}: {label} sink diverged from deterministic"
-                );
-                assert_eq!(
-                    got.queues.item_pushes, det.queues.item_pushes,
-                    "seed {seed}: {label} item traffic"
-                );
-                assert_eq!(
-                    got.queues.header_pushes, det.queues.header_pushes,
-                    "seed {seed}: {label} header pushes"
-                );
-                assert_eq!(
-                    got.queues.header_pops, det.queues.header_pops,
-                    "seed {seed}: {label} header pops"
-                );
-            }
+            let (p, _) = build();
+            let got = run_parallel(p, &cfg).unwrap();
+            assert_eq!(
+                got.sink_output(sink),
+                det.sink_output(sink),
+                "seed {seed}: threaded sink diverged from deterministic"
+            );
+            assert_eq!(
+                got.queues.item_pushes, det.queues.item_pushes,
+                "seed {seed}: item traffic"
+            );
+            assert_eq!(
+                got.queues.header_pushes, det.queues.header_pushes,
+                "seed {seed}: header pushes"
+            );
+            assert_eq!(
+                got.queues.header_pops, det.queues.header_pops,
+                "seed {seed}: header pops"
+            );
         }
-    }
-
-    #[test]
-    fn transport_labels_roundtrip_through_parse() {
-        for t in [
-            ParTransport::PerItem,
-            ParTransport::Batched,
-            ParTransport::LockFree,
-        ] {
-            assert_eq!(ParTransport::parse(t.label()), Some(t));
-        }
-        assert_eq!(ParTransport::parse("carrier-pigeon"), None);
-        assert_eq!(ParTransport::default(), ParTransport::LockFree);
     }
 
     /// The headline capability: faults injected inside worker threads, the
@@ -1370,23 +1165,6 @@ mod tests {
         );
         // Every retry respects the per-frame budget on each of the 4 cores.
         assert!(report.watchdog.frame_retries <= u64::from(cfg.par_retry_budget) * cfg.frames * 4);
-    }
-
-    /// The opt-out: `ParFaults::Deny` restores the old hard rejection.
-    #[test]
-    fn deny_policy_rejects_error_injection() {
-        let (p, _) = program();
-        let cfg = SimConfig {
-            par_faults: ParFaults::Deny,
-            ..SimConfig::with_errors(
-                10,
-                Protection::PpuReliableQueue,
-                Mtbe::instructions(1000),
-                1,
-            )
-        };
-        let err = run_parallel(p, &cfg).unwrap_err();
-        assert!(matches!(err, RunError::BadEffectModel(_)), "got: {err}");
     }
 
     /// A worker that dies mid-stream (panicking filter) must surface as a

@@ -55,8 +55,8 @@ pub struct RunReport {
     /// Aggregated queue statistics over all edges.
     ///
     /// Under the threaded executor, `blocked_pushes`/`blocked_pops` count
-    /// real blocking episodes of the condvar transport (one failed
-    /// attempt per wait), not spin iterations.
+    /// every attempt that found the ring full/empty, including each retry
+    /// of a spin-then-park wait, so they vary with thread timing.
     pub queues: QueueStats,
     /// Collected sink streams, keyed by node index.
     pub sinks: BTreeMap<usize, Vec<u32>>,
