@@ -6,6 +6,7 @@
 //! image codec needs.
 
 use std::f32::consts::PI;
+use std::sync::LazyLock;
 
 /// Block edge length.
 pub const N: usize = 8;
@@ -81,6 +82,10 @@ fn cos_table() -> [[f32; N]; N] {
     c
 }
 
+/// [`cos_table`], built once and shared by [`dct2`] and [`idct2`]; its
+/// entries have the bits the per-call table had.
+static COS_TABLE: LazyLock<[[f32; N]; N]> = LazyLock::new(cos_table);
+
 fn alpha(u: usize) -> f32 {
     if u == 0 {
         (1.0f32 / N as f32).sqrt()
@@ -91,7 +96,8 @@ fn alpha(u: usize) -> f32 {
 
 /// Forward 2-D DCT-II of an 8×8 spatial block (row-major).
 pub fn dct2(block: &[f32; BLOCK]) -> [f32; BLOCK] {
-    let c = cos_table();
+    let c = &*COS_TABLE;
+    let a: [f32; N] = std::array::from_fn(alpha);
     let mut out = [0.0f32; BLOCK];
     for v in 0..N {
         for u in 0..N {
@@ -101,7 +107,7 @@ pub fn dct2(block: &[f32; BLOCK]) -> [f32; BLOCK] {
                     acc += block[y * N + x] * cu * crow;
                 }
             }
-            out[v * N + u] = alpha(u) * alpha(v) * acc;
+            out[v * N + u] = a[u] * a[v] * acc;
         }
     }
     out
@@ -109,14 +115,15 @@ pub fn dct2(block: &[f32; BLOCK]) -> [f32; BLOCK] {
 
 /// Inverse 2-D DCT (DCT-III) back to the spatial block.
 pub fn idct2(coeffs: &[f32; BLOCK]) -> [f32; BLOCK] {
-    let c = cos_table();
+    let c = &*COS_TABLE;
+    let a: [f32; N] = std::array::from_fn(alpha);
     let mut out = [0.0f32; BLOCK];
     for y in 0..N {
         for x in 0..N {
             let mut acc = 0.0f32;
             for v in 0..N {
                 for u in 0..N {
-                    acc += alpha(u) * alpha(v) * coeffs[v * N + u] * c[u][x] * c[v][y];
+                    acc += a[u] * a[v] * coeffs[v * N + u] * c[u][x] * c[v][y];
                 }
             }
             out[y * N + x] = acc;
@@ -148,6 +155,58 @@ pub fn dequantize(q: &[i32; BLOCK], table: &[u16; BLOCK]) -> [f32; BLOCK] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The transforms as they were, rebuilding the table on every call.
+    fn dct2_reference(block: &[f32; BLOCK]) -> [f32; BLOCK] {
+        let c = cos_table();
+        let mut out = [0.0f32; BLOCK];
+        for v in 0..N {
+            for u in 0..N {
+                let mut acc = 0.0f32;
+                for (y, crow) in c[v].iter().enumerate() {
+                    for (x, cu) in c[u].iter().enumerate() {
+                        acc += block[y * N + x] * cu * crow;
+                    }
+                }
+                out[v * N + u] = alpha(u) * alpha(v) * acc;
+            }
+        }
+        out
+    }
+
+    fn idct2_reference(coeffs: &[f32; BLOCK]) -> [f32; BLOCK] {
+        let c = cos_table();
+        let mut out = [0.0f32; BLOCK];
+        for y in 0..N {
+            for x in 0..N {
+                let mut acc = 0.0f32;
+                for v in 0..N {
+                    for u in 0..N {
+                        acc += alpha(u) * alpha(v) * coeffs[v * N + u] * c[u][x] * c[v][y];
+                    }
+                }
+                out[y * N + x] = acc;
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The tabled transforms are bit-identical to the direct formulas.
+        #[test]
+        fn tables_match_direct_formulas_bit_exactly(
+            block in prop::collection::vec(crate::test_support::finite_f32(), BLOCK),
+        ) {
+            let block: [f32; BLOCK] = block.try_into().unwrap();
+            prop_assert_eq!(bits(&dct2(&block)), bits(&dct2_reference(&block)));
+            prop_assert_eq!(bits(&idct2(&block)), bits(&idct2_reference(&block)));
+        }
+    }
 
     #[test]
     fn zigzag_is_a_permutation() {

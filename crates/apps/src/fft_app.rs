@@ -94,27 +94,14 @@ impl FftApp {
         });
 
         for (s, &node) in stages.iter().enumerate() {
-            let half = 1usize << s; // butterfly half-span at this stage
+            let twiddles = twiddles(1 << s); // half-span 2^s at this stage
             p.set_filter(node, move |inp, out| {
                 let words = &inp[0];
-                let mut buf: Vec<(f32, f32)> = (0..POINTS)
-                    .map(|i| {
-                        let (re, im) = word_pair(words, i);
-                        (f32::from_bits(re), f32::from_bits(im))
-                    })
-                    .collect();
-                let span = half * 2;
-                for group in (0..POINTS).step_by(span) {
-                    for k in 0..half {
-                        let ang = -PI * k as f32 / half as f32;
-                        let (wr, wi) = (ang.cos(), ang.sin());
-                        let (ar, ai) = buf[group + k];
-                        let (br, bi) = buf[group + k + half];
-                        let (tr, ti) = (br * wr - bi * wi, br * wi + bi * wr);
-                        buf[group + k] = (ar + tr, ai + ti);
-                        buf[group + k + half] = (ar - tr, ai - ti);
-                    }
-                }
+                let mut buf: [(f32, f32); POINTS] = std::array::from_fn(|i| {
+                    let (re, im) = word_pair(words, i);
+                    (f32::from_bits(re), f32::from_bits(im))
+                });
+                butterfly_stage(&mut buf, &twiddles);
                 for (re, im) in buf {
                     // Saturate just above the legitimate range (strongest
                     // bin ≈ 16 for the test signal) — fixed-point FFT
@@ -159,6 +146,32 @@ impl Default for FftApp {
     }
 }
 
+/// The `half` twiddle factors `e^{-iπk/half}` of a butterfly stage with
+/// half-span `half`, computed once per stage rather than per firing.
+fn twiddles(half: usize) -> Vec<(f32, f32)> {
+    (0..half)
+        .map(|k| {
+            let ang = -PI * k as f32 / half as f32;
+            (ang.cos(), ang.sin())
+        })
+        .collect()
+}
+
+/// One in-place radix-2 butterfly stage whose half-span is
+/// `twiddles.len()`.
+fn butterfly_stage(buf: &mut [(f32, f32); POINTS], twiddles: &[(f32, f32)]) {
+    let half = twiddles.len();
+    for group in (0..POINTS).step_by(half * 2) {
+        for (k, &(wr, wi)) in twiddles.iter().enumerate() {
+            let (ar, ai) = buf[group + k];
+            let (br, bi) = buf[group + k + half];
+            let (tr, ti) = (br * wr - bi * wi, br * wi + bi * wr);
+            buf[group + k] = (ar + tr, ai + ti);
+            buf[group + k + half] = (ar - tr, ai - ti);
+        }
+    }
+}
+
 /// Reads the complex pair at index `i`, tolerating short (error-damaged)
 /// blocks.
 fn word_pair(words: &[u32], i: usize) -> (u32, u32) {
@@ -190,6 +203,44 @@ fn reference_fft(input: &[f32]) -> Vec<(f32, f32)> {
 mod tests {
     use super::*;
     use cg_runtime::{run, SimConfig};
+    use proptest::prelude::*;
+
+    /// The butterfly stage with each twiddle computed inline, as the
+    /// stage filters once did on every firing.
+    fn stage_reference(buf: &mut [(f32, f32); POINTS], half: usize) {
+        let span = half * 2;
+        for group in (0..POINTS).step_by(span) {
+            for k in 0..half {
+                let ang = -PI * k as f32 / half as f32;
+                let (wr, wi) = (ang.cos(), ang.sin());
+                let (ar, ai) = buf[group + k];
+                let (br, bi) = buf[group + k + half];
+                let (tr, ti) = (br * wr - bi * wi, br * wi + bi * wr);
+                buf[group + k] = (ar + tr, ai + ti);
+                buf[group + k + half] = (ar - tr, ai - ti);
+            }
+        }
+    }
+
+    proptest! {
+        /// Precomputed twiddles give bit-identical stage outputs.
+        #[test]
+        fn precomputed_twiddles_match_inline_bit_exactly(
+            values in prop::collection::vec(crate::test_support::finite_f32(), 2 * POINTS),
+            stage in 0usize..STAGES,
+        ) {
+            let half = 1 << stage;
+            let mut tabled: [(f32, f32); POINTS] =
+                std::array::from_fn(|i| (values[2 * i], values[2 * i + 1]));
+            let mut inline = tabled;
+            butterfly_stage(&mut tabled, &twiddles(half));
+            stage_reference(&mut inline, half);
+            let bits = |b: &[(f32, f32)]| -> Vec<(u32, u32)> {
+                b.iter().map(|(r, i)| (r.to_bits(), i.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&tabled), bits(&inline));
+        }
+    }
 
     #[test]
     fn graph_shape() {

@@ -77,15 +77,25 @@ impl Fir {
     }
 
     /// Processes one sample.
+    ///
+    /// Tap `k` meets the sample `k` steps old, history index
+    /// `(pos - k) mod n`: the walk runs down from `pos` to 0, then wraps
+    /// from `n - 1` down to `pos + 1`, summing in tap order.
     pub fn step(&mut self, x: f32) -> f32 {
         self.history[self.pos] = x;
-        let n = self.taps.len();
+        let (recent, older) = self.history.split_at(self.pos + 1);
+        let (taps_recent, taps_older) = self.taps.split_at(self.pos + 1);
         let mut acc = 0.0f32;
-        for (k, &t) in self.taps.iter().enumerate() {
-            let idx = (self.pos + n - k) % n;
-            acc += t * self.history[idx];
+        for (&t, &h) in taps_recent.iter().zip(recent.iter().rev()) {
+            acc += t * h;
         }
-        self.pos = (self.pos + 1) % n;
+        for (&t, &h) in taps_older.iter().zip(older.iter().rev()) {
+            acc += t * h;
+        }
+        self.pos += 1;
+        if self.pos == self.taps.len() {
+            self.pos = 0;
+        }
         acc
     }
 
@@ -115,7 +125,10 @@ impl Delay {
     pub fn step(&mut self, x: f32) -> f32 {
         let out = self.buf[self.pos];
         self.buf[self.pos] = x;
-        self.pos = (self.pos + 1) % self.buf.len();
+        self.pos += 1;
+        if self.pos == self.buf.len() {
+            self.pos = 0;
+        }
         out
     }
 }
@@ -123,6 +136,65 @@ impl Delay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `%`-indexed filter and delay line the wrap-by-compare
+    /// versions replace.
+    struct FirReference {
+        taps: Vec<f32>,
+        history: Vec<f32>,
+        pos: usize,
+    }
+
+    impl FirReference {
+        fn step(&mut self, x: f32) -> f32 {
+            self.history[self.pos] = x;
+            let n = self.taps.len();
+            let mut acc = 0.0f32;
+            for (k, &t) in self.taps.iter().enumerate() {
+                let idx = (self.pos + n - k) % n;
+                acc += t * self.history[idx];
+            }
+            self.pos = (self.pos + 1) % n;
+            acc
+        }
+    }
+
+    struct DelayReference {
+        buf: Vec<f32>,
+        pos: usize,
+    }
+
+    impl DelayReference {
+        fn step(&mut self, x: f32) -> f32 {
+            let out = self.buf[self.pos];
+            self.buf[self.pos] = x;
+            self.pos = (self.pos + 1) % self.buf.len();
+            out
+        }
+    }
+
+    proptest! {
+        /// Bit-identical outputs over at least three full history wraps.
+        #[test]
+        fn wrap_by_compare_matches_modulo_reference(
+            taps in prop::collection::vec(crate::test_support::finite_f32(), 1..40),
+            input in prop::collection::vec(crate::test_support::finite_f32(), 1..160),
+            delay in 0usize..40,
+        ) {
+            let n = taps.len();
+            let mut fir = Fir::new(taps.clone());
+            let mut fir_ref = FirReference { taps, history: vec![0.0; n], pos: 0 };
+            let mut line = Delay::new(delay);
+            let mut line_ref = DelayReference { buf: vec![0.0; delay.max(1)], pos: 0 };
+            let steps = (3 * n.max(delay) + 1).max(input.len());
+            for i in 0..steps {
+                let x = input[i % input.len()];
+                prop_assert_eq!(fir.step(x).to_bits(), fir_ref.step(x).to_bits(), "fir step {}", i);
+                prop_assert_eq!(line.step(x).to_bits(), line_ref.step(x).to_bits(), "delay step {}", i);
+            }
+        }
+    }
 
     /// Measures filter gain at normalised frequency `f`.
     fn gain(h: &[f32], f: f32) -> f32 {

@@ -32,3 +32,26 @@ pub mod suite;
 pub mod vocoder;
 
 pub use suite::{BenchApp, Size, Workload};
+
+#[cfg(test)]
+mod test_support {
+    use proptest::prelude::*;
+
+    /// Finite f32 inputs for the kernel-table property tests: mostly
+    /// signal-range values, plus arbitrary finite bit patterns (huge,
+    /// tiny and subnormal magnitudes) to reach overflow and rounding
+    /// corners.
+    pub fn finite_f32() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            3 => (-4_000_000i32..4_000_000).prop_map(|v| v as f32 / 1_000.0),
+            1 => any::<u32>().prop_map(|b| {
+                let v = f32::from_bits(b);
+                if v.is_finite() {
+                    v
+                } else {
+                    0.0
+                }
+            }),
+        ]
+    }
+}

@@ -7,6 +7,7 @@
 //! perfectly in the absence of quantisation.
 
 use std::f32::consts::PI;
+use std::sync::LazyLock;
 
 /// Subband count (MDCT length); each hop consumes/produces `M` samples.
 pub const M: usize = 32;
@@ -14,6 +15,7 @@ pub const M: usize = 32;
 /// Window length (2·M).
 pub const W: usize = 2 * M;
 
+/// The Princen–Bradley sine window.
 fn window() -> [f32; W] {
     let mut w = [0.0f32; W];
     for (n, v) in w.iter_mut().enumerate() {
@@ -22,16 +24,25 @@ fn window() -> [f32; W] {
     w
 }
 
+/// The transform basis `cos(π/M · (n + ½ + M/2) · (k + ½))`.
+fn basis(n: usize, k: usize) -> f32 {
+    ((PI / M as f32) * (n as f32 + 0.5 + M as f32 / 2.0) * (k as f32 + 0.5)).cos()
+}
+
+/// [`window`] and `BASIS[n][k] = basis(n, k)`, each built once. Every
+/// entry has the bits the transforms used to compute per sample.
+static WINDOW: LazyLock<[f32; W]> = LazyLock::new(window);
+static BASIS: LazyLock<[[f32; M]; W]> =
+    LazyLock::new(|| std::array::from_fn(|n| std::array::from_fn(|k| basis(n, k))));
+
 /// Forward MDCT of one windowed 64-sample block → 32 coefficients.
 pub fn mdct(block: &[f32; W]) -> [f32; M] {
-    let w = window();
+    let (w, basis) = (&*WINDOW, &*BASIS);
     let mut out = [0.0f32; M];
     for (k, coeff) in out.iter_mut().enumerate() {
         let mut acc = 0.0f32;
         for n in 0..W {
-            acc += block[n]
-                * w[n]
-                * ((PI / M as f32) * (n as f32 + 0.5 + M as f32 / 2.0) * (k as f32 + 0.5)).cos();
+            acc += block[n] * w[n] * basis[n][k];
         }
         *coeff = acc;
     }
@@ -41,15 +52,14 @@ pub fn mdct(block: &[f32; W]) -> [f32; M] {
 /// Inverse MDCT of 32 coefficients → one windowed 64-sample block, to be
 /// overlap-added with its neighbours.
 pub fn imdct(coeffs: &[f32; M]) -> [f32; W] {
-    let w = window();
+    let w = &*WINDOW;
     let mut out = [0.0f32; W];
-    for (n, sample) in out.iter_mut().enumerate() {
+    for ((sample, row), &wn) in out.iter_mut().zip(BASIS.iter()).zip(w) {
         let mut acc = 0.0f32;
-        for (k, &c) in coeffs.iter().enumerate() {
-            acc +=
-                c * ((PI / M as f32) * (n as f32 + 0.5 + M as f32 / 2.0) * (k as f32 + 0.5)).cos();
+        for (&c, &b) in coeffs.iter().zip(row) {
+            acc += c * b;
         }
-        *sample = acc * w[n] * 2.0 / M as f32;
+        *sample = acc * wn * 2.0 / M as f32;
     }
     out
 }
@@ -131,6 +141,53 @@ impl Default for OverlapAdd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    /// The transforms as they were, evaluating the window and basis
+    /// inline.
+    fn mdct_reference(block: &[f32; W]) -> [f32; M] {
+        let w = window();
+        let mut out = [0.0f32; M];
+        for (k, coeff) in out.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for n in 0..W {
+                acc += block[n] * w[n] * basis(n, k);
+            }
+            *coeff = acc;
+        }
+        out
+    }
+
+    fn imdct_reference(coeffs: &[f32; M]) -> [f32; W] {
+        let w = window();
+        let mut out = [0.0f32; W];
+        for (n, sample) in out.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for (k, &c) in coeffs.iter().enumerate() {
+                acc += c * basis(n, k);
+            }
+            *sample = acc * w[n] * 2.0 / M as f32;
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The tabled transforms are bit-identical to the direct formulas.
+        #[test]
+        fn tables_match_direct_formulas_bit_exactly(
+            block in prop::collection::vec(crate::test_support::finite_f32(), W),
+        ) {
+            let block: [f32; W] = block.try_into().unwrap();
+            let coeffs: [f32; M] = block[..M].try_into().unwrap();
+            prop_assert_eq!(bits(&mdct(&block)), bits(&mdct_reference(&block)));
+            prop_assert_eq!(bits(&imdct(&coeffs)), bits(&imdct_reference(&coeffs)));
+        }
+    }
 
     #[test]
     fn window_satisfies_princen_bradley() {

@@ -8,7 +8,7 @@ use cg_trace::{Event, PtrTag, Tracer};
 use crate::ptr::{PointerMode, PtrCell, Which};
 use crate::spsc::{AtomicPtrCell, CachePadded, SharedSlots};
 use crate::stats::QueueStats;
-use crate::unit::Unit;
+use crate::unit::{decode_unit, encode_unit, SlotWord, Unit, HEADER_TAG};
 
 /// Configuration of a [`SimQueue`].
 ///
@@ -67,26 +67,27 @@ impl std::fmt::Display for PushError {
 
 impl std::error::Error for PushError {}
 
-/// Slot storage: a plain vector when one owner holds the whole queue (the
-/// deterministic executor), or an atomic array shared by a lock-free
-/// producer/consumer view pair ([`crate::spsc_pair`]).
+/// Slot storage: one [`encode_unit`] word per slot, in a plain vector
+/// when one owner holds the whole queue (the deterministic executor), or
+/// in an atomic array shared by a lock-free producer/consumer view pair
+/// ([`crate::spsc_pair`]).
 #[derive(Clone)]
 enum Slots {
-    Local(Vec<Unit>),
+    Local(Vec<u64>),
     Shared(Arc<SharedSlots>),
 }
 
 impl Slots {
     fn get(&self, idx: usize) -> Unit {
         match self {
-            Slots::Local(v) => v[idx],
+            Slots::Local(v) => decode_unit(v[idx]),
             Slots::Shared(s) => s.get(idx),
         }
     }
 
     fn set(&mut self, idx: usize, unit: Unit) {
         match self {
-            Slots::Local(v) => v[idx] = unit,
+            Slots::Local(v) => v[idx] = encode_unit(unit),
             Slots::Shared(s) => s.set(idx, unit),
         }
     }
@@ -102,21 +103,25 @@ impl Slots {
         }
     }
 
-    /// Writes `units` into consecutive ring slots starting at ring index
+    /// Writes `run` into consecutive ring slots starting at ring index
     /// `idx`, split into two windows when the run crosses the wrap point.
-    /// Local storage takes a `copy_from_slice` per window; shared storage
-    /// a tight run of `Relaxed` stores (ordered, as ever, by the release
-    /// publish of the shared tail pointer).
-    fn write_run(&mut self, idx: usize, units: &[Unit]) {
-        let first = units.len().min(self.capacity() - idx);
+    /// Shared storage takes a tight run of `Relaxed` stores (ordered, as
+    /// ever, by the release publish of the shared tail pointer).
+    fn write_run<T: SlotWord>(&mut self, idx: usize, run: &[T]) {
+        let first = run.len().min(self.capacity() - idx);
+        let (a, b) = run.split_at(first);
         match self {
             Slots::Local(v) => {
-                v[idx..idx + first].copy_from_slice(&units[..first]);
-                v[..units.len() - first].copy_from_slice(&units[first..]);
+                for (slot, &x) in v[idx..idx + first].iter_mut().zip(a) {
+                    *slot = x.word();
+                }
+                for (slot, &x) in v.iter_mut().zip(b) {
+                    *slot = x.word();
+                }
             }
             Slots::Shared(s) => {
-                s.write_run(idx, &units[..first]);
-                s.write_run(0, &units[first..]);
+                s.write_run(idx, a);
+                s.write_run(0, b);
             }
         }
     }
@@ -127,14 +132,35 @@ impl Slots {
         let first = n.min(self.capacity() - idx);
         match self {
             Slots::Local(v) => {
-                out.extend_from_slice(&v[idx..idx + first]);
-                out.extend_from_slice(&v[..n - first]);
+                out.extend(v[idx..idx + first].iter().map(|&w| decode_unit(w)));
+                out.extend(v[..n - first].iter().map(|&w| decode_unit(w)));
             }
             Slots::Shared(s) => {
                 s.read_run(idx, first, out);
                 s.read_run(0, n - first, out);
             }
         }
+    }
+
+    /// Appends the item payloads of up to `n` consecutive ring slots from
+    /// ring index `idx` to `out`, stopping before the first header; returns
+    /// how many were taken. Scans at most two contiguous windows.
+    fn read_items(&self, idx: usize, n: usize, out: &mut Vec<u32>) -> usize {
+        let first = n.min(self.capacity() - idx);
+        let window = |at: usize, len: usize, out: &mut Vec<u32>| match self {
+            Slots::Local(v) => {
+                let run = &v[at..at + len];
+                let taken = run.iter().position(|&w| w & HEADER_TAG != 0).unwrap_or(len);
+                out.extend(run[..taken].iter().map(|&w| w as u32));
+                taken
+            }
+            Slots::Shared(s) => s.read_items(at, len, out),
+        };
+        let taken = window(idx, first, out);
+        if taken < first {
+            return taken;
+        }
+        taken + window(0, n - first, out)
     }
 }
 
@@ -235,7 +261,8 @@ impl SimQueue {
     pub fn new(spec: QueueSpec) -> Self {
         SimQueue {
             spec,
-            slots: Slots::Local(vec![Unit::Item(0); spec.capacity]),
+            // `Item(0)` is the all-zero slot word: a zeroed allocation, not a fill.
+            slots: Slots::Local(vec![0; spec.capacity]),
             head: 0,
             tail: 0,
             shared_head: PtrSlot::Local(PtrCell::new(spec.pointer_mode, 0)),
@@ -349,9 +376,22 @@ impl SimQueue {
     /// header accounting, and workset publication are identical to
     /// pushing one at a time.
     pub fn push_slice(&mut self, slice: &[Unit]) -> usize {
+        self.push_run(slice)
+    }
+
+    /// Pushes plain item payloads without the caller materialising
+    /// [`Unit`]s — the bulk entry point for executors staging raw `u32`
+    /// frames. The payloads are written straight into the ring as slot
+    /// words; blocking, statistics, and workset publication are identical
+    /// to [`Self::push_slice`] over `Unit::Item`s.
+    pub fn push_items(&mut self, items: &[u32]) -> usize {
+        self.push_run(items)
+    }
+
+    fn push_run<T: SlotWord>(&mut self, run: &[T]) -> usize {
         let cap = self.spec.capacity as u32;
         let mut written = 0;
-        while written < slice.len() {
+        while written < run.len() {
             if self.apparent_used() >= cap {
                 self.refresh_seen_head();
                 if self.apparent_used() >= cap {
@@ -361,37 +401,38 @@ impl SimQueue {
             }
             // Reserve the apparent free segment in one step.
             let free = (cap - self.apparent_used()) as usize;
-            let n = free.min(slice.len() - written);
+            let n = free.min(run.len() - written);
             if self.tracer.is_enabled() {
                 // Traced runs keep the per-unit loop so the emitted event
                 // stream is byte-identical to one-at-a-time pushing.
-                for &unit in &slice[written..written + n] {
-                    self.push_unchecked(unit);
+                for &x in &run[written..written + n] {
+                    self.push_unchecked(decode_unit(x.word()));
                 }
             } else {
-                self.fill_run(&slice[written..written + n]);
+                self.fill_run(&run[written..written + n]);
             }
             written += n;
         }
         written
     }
 
-    /// Bulk-appends a reserved run: zero-copy slot writes into the ring
+    /// Bulk-appends a reserved run: slot-word writes into the ring
     /// segment, chunked at workset boundaries (and the u32 cursor wrap) so
     /// every boundary publish — and its shared-pointer/ECC/stat activity —
     /// happens exactly where the per-unit path would perform it.
-    fn fill_run(&mut self, units: &[Unit]) {
+    fn fill_run<T: SlotWord>(&mut self, run: &[T]) {
         let cap = self.spec.capacity;
         let ws = self.spec.workset_size as u32;
         let mut done = 0;
-        while done < units.len() {
+        while done < run.len() {
             let to_boundary = (ws - self.tail % ws) as usize;
             let to_wrap = (u32::MAX - self.tail) as usize + 1;
-            let c = (units.len() - done).min(to_boundary).min(to_wrap);
-            let chunk = &units[done..done + c];
+            let c = (run.len() - done).min(to_boundary).min(to_wrap);
+            let chunk = &run[done..done + c];
             self.slots.write_run(self.tail as usize % cap, chunk);
             self.tail = self.tail.wrapping_add(c as u32);
-            let headers = chunk.iter().filter(|u| u.is_header()).count() as u64;
+            // Always 0 for bare payloads: the filter folds away.
+            let headers = chunk.iter().filter(|x| x.word() & HEADER_TAG != 0).count() as u64;
             self.stats.record_pushes(c as u64 - headers, headers);
             // Occupancy grows monotonically over the run, so noting the
             // post-chunk depth reproduces the per-unit high-water mark.
@@ -458,27 +499,6 @@ impl SimQueue {
         }
     }
 
-    /// Pushes plain item payloads without the caller materialising
-    /// [`Unit`]s — the bulk entry point for executors staging raw `u32`
-    /// frames. Blocking, statistics, and workset publication are identical
-    /// to [`Self::push_slice`] over `Unit::Item`s.
-    pub fn push_items(&mut self, items: &[u32]) -> usize {
-        let mut buf = [Unit::Item(0); 64];
-        let mut written = 0;
-        while written < items.len() {
-            let n = (items.len() - written).min(buf.len());
-            for (slot, &v) in buf.iter_mut().zip(&items[written..written + n]) {
-                *slot = Unit::Item(v);
-            }
-            let accepted = self.push_slice(&buf[..n]);
-            written += accepted;
-            if accepted < n {
-                break;
-            }
-        }
-        written
-    }
-
     /// Pops up to `max` *item* payloads into `out`, stopping early at the
     /// visible end of the queue or just before the first in-flight header;
     /// the header is left queued so the alignment machinery can pop it
@@ -500,17 +520,7 @@ impl SimQueue {
             // Peek the run and take only its item prefix; commit the head
             // afterwards so a header is never consumed here.
             let start = out.len();
-            let mut hit_header = false;
-            for i in 0..avail {
-                match self.slots.get((self.head as usize + i) % cap) {
-                    Unit::Item(v) => out.push(v),
-                    Unit::Header(_) => {
-                        hit_header = true;
-                        break;
-                    }
-                }
-            }
-            let taken = out.len() - start;
+            let taken = self.slots.read_items(self.head as usize % cap, avail, out);
             if self.tracer.is_enabled() {
                 // Re-walk the prefix per-unit for a byte-identical event
                 // stream (the peek above already decided where to stop).
@@ -525,7 +535,7 @@ impl SimQueue {
                 self.commit_pops(taken);
             }
             popped += taken;
-            if hit_header {
+            if taken < avail {
                 return (popped, true);
             }
         }

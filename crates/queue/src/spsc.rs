@@ -41,7 +41,7 @@ use cg_trace::Tracer;
 use crate::ptr::PointerMode;
 use crate::ring::{QueueSpec, SimQueue};
 use crate::stats::QueueStats;
-use crate::unit::Unit;
+use crate::unit::{decode_unit, encode_unit, SlotWord, Unit, HEADER_TAG};
 
 /// Why a blocking operation gave up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,27 +77,9 @@ pub(crate) struct CachePadded<T>(pub(crate) T);
 const PRODUCER: usize = 0;
 const CONSUMER: usize = 1;
 
-/// Tag bit distinguishing header codewords from item payloads in a slot.
-/// Items are 32-bit and codewords 39-bit, so bit 63 is always free.
-const HEADER_TAG: u64 = 1 << 63;
-
-fn encode_unit(unit: Unit) -> u64 {
-    match unit {
-        Unit::Item(v) => u64::from(v),
-        Unit::Header(cw) => HEADER_TAG | cw.raw(),
-    }
-}
-
-fn decode_unit(bits: u64) -> Unit {
-    if bits & HEADER_TAG != 0 {
-        Unit::Header(Codeword::from_raw(bits & !HEADER_TAG))
-    } else {
-        Unit::Item(bits as u32)
-    }
-}
-
 /// The ring's slot storage when shared between two views: one `AtomicU64`
-/// per unit. Slot accesses are `Relaxed` — the release/acquire handoff on
+/// per unit, holding the same slot word ([`encode_unit`]) as single-owner
+/// storage. Slot accesses are `Relaxed` — the release/acquire handoff on
 /// the shared pointers orders them — so they compile to plain moves.
 pub(crate) struct SharedSlots {
     slots: Box<[AtomicU64]>,
@@ -106,9 +88,7 @@ pub(crate) struct SharedSlots {
 impl SharedSlots {
     pub(crate) fn new(capacity: usize) -> Self {
         SharedSlots {
-            slots: (0..capacity)
-                .map(|_| AtomicU64::new(encode_unit(Unit::Item(0))))
-                .collect(),
+            slots: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -124,13 +104,13 @@ impl SharedSlots {
         self.slots[idx].store(encode_unit(unit), Ordering::Relaxed);
     }
 
-    /// Writes a contiguous run of units starting at `idx` (no wrap): the
-    /// bulk form of [`Self::set`], a tight loop of `Relaxed` stores that
-    /// the release-publish of the shared tail pointer orders for the
-    /// consumer exactly as it does single-slot stores.
-    pub(crate) fn write_run(&self, idx: usize, units: &[Unit]) {
-        for (slot, &unit) in self.slots[idx..idx + units.len()].iter().zip(units) {
-            slot.store(encode_unit(unit), Ordering::Relaxed);
+    /// Writes a contiguous run starting at `idx` (no wrap): the bulk form
+    /// of [`Self::set`], a tight loop of `Relaxed` stores that the
+    /// release-publish of the shared tail pointer orders for the consumer
+    /// exactly as it does single-slot stores.
+    pub(crate) fn write_run<T: SlotWord>(&self, idx: usize, run: &[T]) {
+        for (slot, &x) in self.slots[idx..idx + run.len()].iter().zip(run) {
+            slot.store(x.word(), Ordering::Relaxed);
         }
     }
 
@@ -140,6 +120,20 @@ impl SharedSlots {
         for slot in &self.slots[idx..idx + n] {
             out.push(decode_unit(slot.load(Ordering::Relaxed)));
         }
+    }
+
+    /// Appends the item payloads of up to `n` slots from `idx` (no wrap)
+    /// to `out`, stopping before the first header; returns how many were
+    /// taken.
+    pub(crate) fn read_items(&self, idx: usize, n: usize, out: &mut Vec<u32>) -> usize {
+        for (taken, slot) in self.slots[idx..idx + n].iter().enumerate() {
+            let word = slot.load(Ordering::Relaxed);
+            if word & HEADER_TAG != 0 {
+                return taken;
+            }
+            out.push(word as u32);
+        }
+        n
     }
 }
 
@@ -623,12 +617,90 @@ mod tests {
         ] {
             assert_eq!(decode_unit(encode_unit(unit)), unit);
         }
+        assert_eq!(encode_unit(Unit::Item(0)), 0, "zeroed slots are Item(0)");
+        assert_eq!(0xdead_beef_u32.word(), encode_unit(Unit::Item(0xdead_beef)));
         // A corrupted codeword (not a valid encoding of anything) must
         // survive the slot roundtrip bit-exactly for SECDED to see it.
         if let Unit::Header(cw) = Unit::header(42) {
             let bad = Unit::Header(cw.with_flipped_bit(3).with_flipped_bit(17));
             assert_eq!(decode_unit(encode_unit(bad)), bad);
         }
+    }
+
+    /// The item-run fast paths (`push_items`/`pop_items` over shared
+    /// slots) against per-unit `try_push`/`try_pop`, first in lockstep on
+    /// two view pairs (delivery, header stops and every counter equal),
+    /// then across two threads, always wrapping the ring many times.
+    #[test]
+    fn item_runs_match_per_unit_across_wrap() {
+        let spec = QueueSpec {
+            capacity: 12,
+            workset_size: 5, // does not divide the capacity
+            pointer_mode: PointerMode::Ecc,
+        };
+        let frames = if cfg!(miri) { 12 } else { 200 };
+        let frame = |f: u32| -> Vec<u32> { (0..1 + f % 7).map(|i| f * 100 + i).collect() };
+
+        let (mut bulk_tx, mut bulk_rx) = SimQueue::spsc_views(spec);
+        let (mut unit_tx, mut unit_rx) = SimQueue::spsc_views(spec);
+        for f in 0..frames {
+            let items = frame(f);
+            assert_eq!(bulk_tx.push_items(&items), items.len(), "frame {f}");
+            bulk_tx.try_push(Unit::header(f)).unwrap();
+            bulk_tx.flush();
+            for &v in &items {
+                unit_tx.try_push(Unit::Item(v)).unwrap();
+            }
+            unit_tx.try_push(Unit::header(f)).unwrap();
+            unit_tx.flush();
+
+            let mut got = Vec::new();
+            assert_eq!(bulk_rx.pop_items(&mut got, 64), (items.len(), true));
+            assert_eq!(got, items, "frame {f}");
+            assert_eq!(bulk_rx.try_pop().and_then(|u| u.header_id()), Some(f));
+            for &v in &items {
+                assert_eq!(unit_rx.try_pop(), Some(Unit::Item(v)));
+            }
+            assert_eq!(unit_rx.try_pop().and_then(|u| u.header_id()), Some(f));
+        }
+        assert_eq!(bulk_tx.stats(), unit_tx.stats());
+        assert_eq!(bulk_rx.stats(), unit_rx.stats());
+
+        let (mut tx, mut rx, _) = spsc_pair(spec, Duration::from_secs(10));
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for f in 0..frames {
+                    let items = frame(f);
+                    let mut pos = 0;
+                    while pos < items.len() {
+                        pos += tx
+                            .produce(|q| {
+                                let n = q.push_items(&items[pos..]);
+                                (n > 0).then_some(n)
+                            })
+                            .unwrap();
+                    }
+                    tx.produce(|q| q.try_push(Unit::header(f)).ok()).unwrap();
+                }
+                tx.with(|q| q.flush());
+            });
+            for f in 0..frames {
+                let want = frame(f);
+                let mut got = Vec::new();
+                while got.len() < want.len() {
+                    let hit_header = rx
+                        .consume(|q| match q.pop_items(&mut got, 64) {
+                            (0, false) => None,
+                            (_, hit_header) => Some(hit_header),
+                        })
+                        .unwrap();
+                    assert!(!hit_header || got.len() == want.len(), "frame {f}");
+                }
+                assert_eq!(got, want, "frame {f}");
+                let header = rx.consume(|q| q.try_pop()).unwrap();
+                assert_eq!(header.header_id(), Some(f));
+            }
+        });
     }
 
     #[test]

@@ -73,6 +73,52 @@ impl From<u32> for Unit {
     }
 }
 
+/// Tag bit distinguishing header codewords from item payloads in a ring
+/// slot. Items are 32-bit and codewords 39-bit, so bit 63 is always free.
+pub(crate) const HEADER_TAG: u64 = 1 << 63;
+
+/// Encodes a unit as its ring-slot word: an item is its zero-extended
+/// payload (so `Item(0)` is the all-zero word and a zeroed allocation is
+/// a ring of `Item(0)`s), a header is its codeword with [`HEADER_TAG`].
+#[inline]
+pub(crate) fn encode_unit(unit: Unit) -> u64 {
+    match unit {
+        Unit::Item(v) => u64::from(v),
+        Unit::Header(cw) => HEADER_TAG | cw.raw(),
+    }
+}
+
+/// Inverse of [`encode_unit`]; a corrupted codeword survives bit-exactly.
+#[inline]
+pub(crate) fn decode_unit(word: u64) -> Unit {
+    if word & HEADER_TAG != 0 {
+        Unit::Header(Codeword::from_raw(word & !HEADER_TAG))
+    } else {
+        Unit::Item(word as u32)
+    }
+}
+
+/// Something a producer can write into a ring slot: a [`Unit`], or a bare
+/// `u32` item payload that never needs a `Unit` built for it.
+pub(crate) trait SlotWord: Copy {
+    /// The slot word ([`encode_unit`] of the unit this value denotes).
+    fn word(self) -> u64;
+}
+
+impl SlotWord for Unit {
+    #[inline]
+    fn word(self) -> u64 {
+        encode_unit(self)
+    }
+}
+
+impl SlotWord for u32 {
+    #[inline]
+    fn word(self) -> u64 {
+        u64::from(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
