@@ -258,6 +258,19 @@ impl CoreGuard {
         }
     }
 
+    /// Drains the pending header of `port` into `q` if the queue has
+    /// room, and forces it in (QM timeout semantics) otherwise: either way
+    /// the port is clear afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    pub fn hi_drain_or_force(&mut self, port: usize, q: &mut SimQueue) {
+        if !self.hi_tick(port, q) {
+            self.hi_force(port, q);
+        }
+    }
+
     /// `true` when no outgoing port has a pending header (pushes may
     /// proceed).
     pub fn headers_clear(&self) -> bool {
@@ -490,6 +503,24 @@ mod tests {
         assert_eq!(cons.subops().accepted_items, 6);
         assert_eq!(cons.subops().padded_items, 0);
         assert_eq!(q.stats().header_pushes, 3);
+    }
+
+    /// `hi_drain_or_force` leaves the port clear whether the queue has
+    /// room (a normal insertion) or is full (a forced one).
+    #[test]
+    fn drain_or_force_clears_the_port() {
+        for full in [false, true] {
+            let mut q = queue();
+            if full {
+                while q.try_push(Unit::Item(7)).is_ok() {}
+            }
+            let mut g = CoreGuard::new(0, 1, &GuardConfig::default(), Some(2));
+            g.start();
+            assert!(!g.headers_clear());
+            g.hi_drain_or_force(0, &mut q);
+            assert!(g.headers_clear(), "full queue: {full}");
+            assert_eq!(q.stats().timeout_pushes, u64::from(full));
+        }
     }
 
     /// A producer that loses items is padded at the consumer; frames stay

@@ -7,26 +7,23 @@
 //! resolved by later visits or, after a bounded number of fruitless
 //! visits, by a queue-manager timeout that forces (incorrect but
 //! progressing) data transfer — the PPU guarantee that nothing ever hangs.
+//!
+//! The firing itself — compute body and fault effects — is the shared
+//! [`NodeCore`]; this module owns the round-robin phase machine, the
+//! watchdog rungs and virtual-clock pacing around it.
 
-use cg_fault::{CoreInjector, StuckAtState};
-use cg_graph::{EdgeId, NodeId, NodeKind};
-use cg_queue::{QueueSpec, SimQueue, Which};
+use cg_graph::{EdgeId, NodeKind};
+use cg_queue::{QueueSpec, SimQueue};
 use cg_telemetry::{Clock, ClockMode, CoreProbe, RunCounters};
 use cg_trace::{DirTag, Event, Tracer, MACHINE_CORE};
 use commguard::qm::TimeoutTracker;
-use commguard::CoreGuard;
-use rand::Rng;
 
 use crate::config::SimConfig;
-use crate::faults::{
-    apply_perturbation, burst_flip_random_item, flip_random_item, garble_random_item,
-    partition_events,
-};
+use crate::engine::{prepare, NodeCore, Ports};
 use crate::pacing::{PacedSource, PacingReport};
 use crate::program::Program;
-use crate::report::{NodeReport, RunReport};
+use crate::report::RunReport;
 use crate::watchdog::{Watchdog, WatchdogAction};
-use crate::work::WorkFn;
 
 /// Errors that prevent a run from starting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,36 +132,53 @@ enum Phase {
     Done,
 }
 
-/// Per-node (= per-core) runtime state.
+/// Per-node (= per-core) scheduler state around the shared node core.
 struct NodeRt {
-    id: NodeId,
-    kind: NodeKind,
-    name: String,
+    core: NodeCore,
     in_edges: Vec<EdgeId>,
     out_edges: Vec<EdgeId>,
-    pop_rates: Vec<u32>,
-    push_rates: Vec<u32>,
-    reps: u64,
     total_firings: u64,
     firings_done: u64,
-    guard: CoreGuard,
-    injector: CoreInjector,
-    work: Option<Box<dyn WorkFn>>,
     in_timeouts: Vec<TimeoutTracker>,
     out_timeouts: Vec<TimeoutTracker>,
-    staged_in: Vec<Vec<u32>>,
-    staged_out: Vec<Vec<u32>>,
     out_pos: Vec<usize>,
     phase: Phase,
-    instructions: u64,
-    /// Latched stuck-at fault (the `StuckAt` fault class).
-    stuck: Option<StuckAtState>,
-    sink_buf: Vec<u32>,
+}
+
+/// A det core's ports: its edge lists over the run's queue table.
+pub(crate) struct EdgePorts<'a> {
+    pub(crate) ins: &'a [EdgeId],
+    pub(crate) outs: &'a [EdgeId],
+    pub(crate) queues: &'a mut [SimQueue],
+}
+
+impl Ports for EdgePorts<'_> {
+    fn attached(&self) -> usize {
+        self.ins.len() + self.outs.len()
+    }
+
+    fn with_attached<R>(&mut self, idx: usize, f: impl FnOnce(&mut SimQueue) -> R) -> R {
+        let e = match idx.checked_sub(self.ins.len()) {
+            None => self.ins[idx],
+            Some(out) => self.outs[out],
+        };
+        f(&mut self.queues[e.index()])
+    }
 }
 
 impl NodeRt {
     fn is_done(&self) -> bool {
         self.phase == Phase::Done
+    }
+
+    /// Drops the staged data and rewinds the push cursors. The cursors
+    /// are zeroed in a loop: `fill(0)` measured about 20% slower on a
+    /// two-node stream, where this runs once per firing.
+    fn clear_staged(&mut self) {
+        self.core.clear_staged();
+        for pos in &mut self.out_pos {
+            *pos = 0;
+        }
     }
 
     /// QM timeouts fired across this core's ports (tracker-derived).
@@ -185,20 +199,8 @@ impl NodeRt {
 /// invalid effect model. Error-prone execution itself never errors — that
 /// is the point — it only degrades output quality in the report.
 pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> {
-    program.validate_bound().map_err(RunError::UnboundNode)?;
-    config
-        .effect_model
-        .validate()
-        .map_err(RunError::BadEffectModel)?;
-    let (graph, mut works) = program.into_parts();
-    let schedule = graph
-        .schedule()
-        .map_err(|e| RunError::Schedule(e.to_string()))?;
-    check_queue_capacity(&graph, &schedule, config.queue_capacity)?;
-
-    let guard_cfg = config.protection.guard_config();
+    let (graph, cores) = prepare(program, config)?;
     let pointer_mode = config.protection.pointer_mode();
-    let errors_on = config.faults_enabled();
     let tracer = config.trace.tracer();
     // Deterministic clock: ticks are scheduler rounds, so enabled-path
     // snapshots are byte-identical per seed.
@@ -226,73 +228,31 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
     // Per-node runtime state, one core per node.
     let mut nodes: Vec<NodeRt> = graph
         .nodes()
-        .map(|(id, node)| {
+        .zip(cores)
+        .map(|((_, node), mut core)| {
+            if tracer.is_enabled() {
+                core.guard.attach_tracer(tracer.clone());
+                core.injector.attach_tracer(tracer.clone());
+            }
             let in_edges = node.inputs().to_vec();
             let out_edges = node.outputs().to_vec();
-            let reps = schedule.repetitions(id);
-            let guard = match &guard_cfg {
-                Some(cfg) => {
-                    // Promoted frames over the whole run (§5.4 scaling).
-                    let promoted = config.frames.div_ceil(u64::from(cfg.frame_scale));
-                    CoreGuard::new(
-                        in_edges.len(),
-                        out_edges.len(),
-                        cfg,
-                        u32::try_from(promoted).ok(),
-                    )
-                }
-                None => CoreGuard::disabled(in_edges.len(), out_edges.len()),
-            };
-            let injector = if errors_on {
-                CoreInjector::new(
-                    config.mtbe,
-                    config.effect_model,
-                    config.seed,
-                    id.index() as u64,
-                )
-            } else {
-                CoreInjector::disabled(config.seed, id.index() as u64)
-            };
             NodeRt {
-                id,
-                kind: node.kind(),
-                name: node.name().to_string(),
-                pop_rates: in_edges.iter().map(|&e| graph.edge(e).pop_rate()).collect(),
-                push_rates: out_edges
-                    .iter()
-                    .map(|&e| graph.edge(e).push_rate())
-                    .collect(),
-                staged_in: vec![Vec::new(); in_edges.len()],
-                staged_out: vec![Vec::new(); out_edges.len()],
                 out_pos: vec![0; out_edges.len()],
                 in_timeouts: vec![TimeoutTracker::new(config.timeout_rounds); in_edges.len()],
                 out_timeouts: vec![TimeoutTracker::new(config.timeout_rounds); out_edges.len()],
                 in_edges,
                 out_edges,
-                reps,
-                total_firings: reps * config.frames,
+                total_firings: core.reps * config.frames,
                 firings_done: 0,
-                guard,
-                injector,
-                work: works[id.index()].take(),
                 phase: Phase::Boundary,
-                instructions: 0,
-                stuck: None,
-                sink_buf: Vec::new(),
+                core,
             }
         })
         .collect();
-    if tracer.is_enabled() {
-        for n in &mut nodes {
-            n.guard.attach_tracer(tracer.clone());
-            n.injector.attach_tracer(tracer.clone());
-        }
-    }
 
     let order = graph.topo_order();
     let mut rounds: u64 = 0;
     let mut completed = false;
-    let cost_models: Vec<_> = graph.nodes().map(|(_, n)| *n.cost()).collect();
     let mut watchdog = Watchdog::new(config.watchdog);
     let mut last_fp = None;
 
@@ -320,16 +280,16 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
             // frame's release tick (f × period). The skipped visit is an
             // idle wait, not a stall.
             if paced_on
-                && n.kind == NodeKind::Source
+                && n.core.kind == NodeKind::Source
                 && n.phase == Phase::Boundary
                 && n.firings_done < n.total_firings
-                && !paced.released(n.firings_done / n.reps)
+                && !paced.released(n.firings_done / n.core.reps)
             {
                 pacing_wait = true;
                 all_done = false;
                 continue;
             }
-            tracer.set_context(i as u32, rounds, n.guard.active_fc());
+            tracer.set_context(i as u32, rounds, n.core.guard.active_fc());
             // Busy/stall attribution: a visit that changes observable
             // node state (or moves data on an attached queue) was busy;
             // anything else was a stalled visit. Classification is only
@@ -339,15 +299,7 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
             } else {
                 None
             };
-            step(
-                n,
-                &mut queues,
-                &cost_models[i],
-                config,
-                &paced,
-                &tracer,
-                &mut probes[i],
-            );
+            step(n, &mut queues, &paced, &tracer, &mut probes[i]);
             if let Some(fp) = before {
                 let after = node_visit_fingerprint(&nodes[i], &queues);
                 probes[i].visit(after != fp);
@@ -366,7 +318,7 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
                 if matches!(n.phase, Phase::Done | Phase::Finishing | Phase::Boundary) {
                     continue;
                 }
-                let frame = n.firings_done / n.reps;
+                let frame = n.firings_done / n.core.reps;
                 // Deadline-critical escalation: once a frame is within one
                 // period of dying, any QM timeout that would land after
                 // the deadline is useless — arm those ports now so a
@@ -382,9 +334,9 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
                     }
                 }
                 if rounds >= paced.deadline(frame) {
-                    tracer.set_context(idx as u32, rounds, n.guard.active_fc());
+                    tracer.set_context(idx as u32, rounds, n.core.guard.active_fc());
                     tracer.emit(Event::FrameDegraded {
-                        frame: n.guard.active_fc(),
+                        frame: n.core.guard.active_fc(),
                     });
                     degrade_frame(n, &mut queues);
                     deadline_degrades += 1;
@@ -401,10 +353,10 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
             // metrics do: at sink frame commits.
             if let Some(acc) = pacing_report.as_mut() {
                 for (idx, n) in nodes.iter().enumerate() {
-                    if n.kind != NodeKind::Sink {
+                    if n.core.kind != NodeKind::Sink {
                         continue;
                     }
-                    let committed = n.firings_done / n.reps;
+                    let committed = n.firings_done / n.core.reps;
                     while sink_seen[idx] < committed {
                         let f = sink_seen[idx];
                         acc.record_commit(
@@ -444,7 +396,7 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
                 tracer.set_context(MACHINE_CORE, rounds, 0);
                 tracer.emit(Event::Watchdog { rung: 2 });
                 for (idx, n) in nodes.iter_mut().enumerate() {
-                    tracer.set_context(idx as u32, rounds, n.guard.active_fc());
+                    tracer.set_context(idx as u32, rounds, n.core.guard.active_fc());
                     force_phase(n, &mut queues);
                 }
             }
@@ -460,9 +412,9 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
                 tracer.emit(Event::Watchdog { rung: 4 });
                 for (idx, n) in nodes.iter_mut().enumerate() {
                     if !matches!(n.phase, Phase::Done | Phase::Finishing | Phase::Boundary) {
-                        tracer.set_context(idx as u32, rounds, n.guard.active_fc());
+                        tracer.set_context(idx as u32, rounds, n.core.guard.active_fc());
                         tracer.emit(Event::FrameDegraded {
-                            frame: n.guard.active_fc(),
+                            frame: n.core.guard.active_fc(),
                         });
                     }
                     degrade_frame(n, &mut queues);
@@ -490,37 +442,19 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
     for q in &queues {
         report.queues += *q.stats();
     }
-    for n in nodes {
-        let frames = n.firings_done.checked_div(n.reps).unwrap_or(0);
+    for (idx, n) in nodes.into_iter().enumerate() {
+        let frames = n.firings_done.checked_div(n.core.reps).unwrap_or(0);
         let timeouts = n.timeouts_fired();
+        let (mut row, sink) = n.core.into_report(frames, n.firings_done, timeouts);
         // High-water occupancy across the queues this core consumes
         // (queues are attributed to their consumer side).
-        let max_queue_occupancy = n
+        row.max_queue_occupancy = n
             .in_edges
             .iter()
             .map(|&e| queues[e.index()].stats().max_occupancy)
             .max()
             .unwrap_or(0);
-        if n.kind == NodeKind::Sink {
-            report.sinks.insert(n.id.index(), n.sink_buf);
-        }
-        let subops = n.guard.into_subops();
-        report.realignment_episodes += subops.pad_events + subops.discard_events;
-        report.nodes.push(NodeReport {
-            name: n.name,
-            instructions: n.instructions,
-            firings: n.firings_done,
-            frames,
-            instructions_per_frame: if frames > 0 {
-                n.instructions as f64 / frames as f64
-            } else {
-                0.0
-            },
-            subops,
-            faults: *n.injector.stats(),
-            timeouts,
-            max_queue_occupancy,
-        });
+        report.add_node(idx, row, sink);
     }
     report.telemetry = telem.finish(probes, run_counters(config.frames, &report));
     Ok(report)
@@ -550,8 +484,6 @@ pub(crate) fn run_counters(frames: u64, report: &RunReport) -> RunCounters {
 fn step(
     n: &mut NodeRt,
     queues: &mut [SimQueue],
-    cost: &cg_graph::CostModel,
-    config: &SimConfig,
     paced: &PacedSource,
     tracer: &Tracer,
     probe: &mut CoreProbe,
@@ -561,7 +493,7 @@ fn step(
             Phase::Done => return,
             Phase::Boundary => {
                 if n.firings_done >= n.total_firings {
-                    n.guard.finish();
+                    n.core.guard.finish();
                     n.phase = Phase::Finishing;
                     continue;
                 }
@@ -570,13 +502,14 @@ fn step(
                 // mid-visit continuation where a source commits frame f
                 // and would roll straight into frame f+1 within the same
                 // visit. Waiting here is idle time, not a stall.
-                if n.kind == NodeKind::Source && !paced.released(n.firings_done / n.reps) {
+                if n.core.kind == NodeKind::Source && !paced.released(n.firings_done / n.core.reps)
+                {
                     return;
                 }
                 if n.firings_done == 0 {
-                    n.guard.start();
+                    n.core.guard.start();
                 } else {
-                    n.guard.scope_boundary();
+                    n.core.guard.scope_boundary();
                     // Publish partial working sets so downstream frames are
                     // visible promptly (the paper flushes at boundaries).
                     for &e in &n.out_edges {
@@ -584,7 +517,7 @@ fn step(
                     }
                 }
                 tracer.emit(Event::FrameBoundary {
-                    frame: n.guard.active_fc(),
+                    frame: n.core.guard.active_fc(),
                 });
                 probe.frame_start();
                 n.phase = Phase::DrainHeaders;
@@ -593,13 +526,13 @@ fn step(
                 let mut clear = true;
                 for (port, &e) in n.out_edges.iter().enumerate() {
                     let q = &mut queues[e.index()];
-                    if !n.guard.hi_tick(port, q) {
+                    if !n.core.guard.hi_tick(port, q) {
                         if n.out_timeouts[port].on_block() {
                             tracer.emit(Event::QmTimeout {
                                 port: port as u32,
                                 dir: DirTag::Out,
                             });
-                            n.guard.hi_force(port, q);
+                            n.core.guard.hi_force(port, q);
                         } else {
                             clear = false;
                         }
@@ -613,18 +546,21 @@ fn step(
                 n.phase = Phase::PopInputs;
             }
             Phase::PopInputs => {
+                let core = &mut n.core;
                 for (port, &e) in n.in_edges.iter().enumerate() {
-                    let need = n.pop_rates[port] as usize;
-                    while n.staged_in[port].len() < need {
+                    let need = core.pop_rates[port] as usize;
+                    while core.staged_in[port].len() < need {
                         let q = &mut queues[e.index()];
-                        let want = need - n.staged_in[port].len();
+                        let want = need - core.staged_in[port].len();
                         // Zero-copy batch pop; a short count is exactly
                         // one blocked attempt (the guard accounts it), so
                         // the timeout tracker advances at the same cadence
                         // as per-unit popping — `on_progress` is a pure
                         // streak reset, so once per run equals once per
                         // unit.
-                        let got = n.guard.pop_batch(port, q, &mut n.staged_in[port], want);
+                        let got = core
+                            .guard
+                            .pop_batch(port, q, &mut core.staged_in[port], want);
                         if got > 0 {
                             n.in_timeouts[port].on_progress();
                         }
@@ -640,9 +576,9 @@ fn step(
                             // firing's worth of (stale) data at once
                             // rather than grinding one forced item per
                             // timeout window.
-                            while n.staged_in[port].len() < need {
-                                let v = n.guard.timeout_pop(port, q);
-                                n.staged_in[port].push(v);
+                            while core.staged_in[port].len() < need {
+                                let v = core.guard.timeout_pop(port, q);
+                                core.staged_in[port].push(v);
                             }
                         } else {
                             return;
@@ -652,22 +588,27 @@ fn step(
                 n.phase = Phase::Fire;
             }
             Phase::Fire => {
-                fire(n, queues, cost, config);
+                n.core.fire(&mut EdgePorts {
+                    ins: &n.in_edges,
+                    outs: &n.out_edges,
+                    queues,
+                });
                 n.phase = Phase::PushOutputs;
             }
             Phase::PushOutputs => {
+                let core = &mut n.core;
                 for (port, &e) in n.out_edges.iter().enumerate() {
-                    while n.out_pos[port] < n.staged_out[port].len() {
+                    while n.out_pos[port] < core.staged_out[port].len() {
                         let q = &mut queues[e.index()];
-                        let pending = &n.staged_out[port][n.out_pos[port]..];
+                        let pending = &core.staged_out[port][n.out_pos[port]..];
                         // Zero-copy batch push; a short count is exactly
                         // one blocked attempt (see `PopInputs`).
-                        let got = n.guard.push_batch(port, q, pending);
+                        let got = core.guard.push_batch(port, q, pending);
                         n.out_pos[port] += got;
                         if got > 0 {
                             n.out_timeouts[port].on_progress();
                         }
-                        if n.out_pos[port] >= n.staged_out[port].len() {
+                        if n.out_pos[port] >= core.staged_out[port].len() {
                             break;
                         }
                         if n.out_timeouts[port].on_block() {
@@ -677,9 +618,9 @@ fn step(
                             });
                             // QM timeout: force the rest of this firing's
                             // output out in one go.
-                            while n.out_pos[port] < n.staged_out[port].len() {
-                                let v = n.staged_out[port][n.out_pos[port]];
-                                n.guard.timeout_push(port, q, v);
+                            while n.out_pos[port] < core.staged_out[port].len() {
+                                let v = core.staged_out[port][n.out_pos[port]];
+                                core.guard.timeout_push(port, q, v);
                                 n.out_pos[port] += 1;
                             }
                         } else {
@@ -687,20 +628,19 @@ fn step(
                         }
                     }
                 }
-                for (port, buf) in n.staged_out.iter_mut().enumerate() {
-                    buf.clear();
-                    n.out_pos[port] = 0;
-                }
-                for buf in &mut n.staged_in {
-                    buf.clear();
-                }
+                n.clear_staged();
                 n.firings_done += 1;
-                n.phase = if n.firings_done.is_multiple_of(n.reps) {
-                    if probe.is_enabled() {
-                        let (occ, det, corr) = sample_consumer_edges(n, queues);
-                        probe.ecc_sample(det, corr);
-                        probe.frame_commit(occ, 0, 0);
-                    }
+                n.phase = if n.firings_done.is_multiple_of(n.core.reps) {
+                    n.core.probe_frame_commit(
+                        &mut EdgePorts {
+                            ins: &n.in_edges,
+                            outs: &n.out_edges,
+                            queues,
+                        },
+                        probe,
+                        0,
+                        0,
+                    );
                     Phase::Boundary
                 } else {
                     Phase::PopInputs
@@ -710,13 +650,13 @@ fn step(
                 let mut clear = true;
                 for (port, &e) in n.out_edges.iter().enumerate() {
                     let q = &mut queues[e.index()];
-                    if !n.guard.hi_tick(port, q) {
+                    if !n.core.guard.hi_tick(port, q) {
                         if n.out_timeouts[port].on_block() {
                             tracer.emit(Event::QmTimeout {
                                 port: port as u32,
                                 dir: DirTag::Out,
                             });
-                            n.guard.hi_force(port, q);
+                            n.core.guard.hi_force(port, q);
                         } else {
                             clear = false;
                         }
@@ -734,216 +674,31 @@ fn step(
     }
 }
 
-/// Executes the firing body: charges instructions, collects fault events,
-/// runs the work function (or the structural behaviour), and applies the
-/// fault effects mechanically.
-fn fire(n: &mut NodeRt, queues: &mut [SimQueue], cost: &cg_graph::CostModel, config: &SimConfig) {
-    let items_moved: u64 = n.pop_rates.iter().map(|&r| u64::from(r)).sum::<u64>()
-        + n.push_rates.iter().map(|&r| u64::from(r)).sum::<u64>();
-    let instr = cost.firing_cost(items_moved);
-    n.instructions += instr;
-    let events = n.injector.advance(instr);
-
-    let faults = partition_events(config.fault_class, &events, &mut n.injector, &mut n.stuck);
-
-    for _ in 0..faults.pre_flips {
-        let mut bufs: Vec<&mut Vec<u32>> = n.staged_in.iter_mut().collect();
-        flip_random_item(&mut bufs, n.injector.rng_mut());
-    }
-    let sink_mark = n.sink_buf.len();
-
-    // The compute body.
-    match n.kind {
-        NodeKind::Source | NodeKind::Filter => {
-            let work = n.work.as_mut().expect("validated: work bound");
-            work.fire(&n.staged_in, &mut n.staged_out);
-        }
-        NodeKind::SplitDuplicate => {
-            for out in &mut n.staged_out {
-                out.extend_from_slice(&n.staged_in[0]);
-            }
-        }
-        NodeKind::SplitRoundRobin => {
-            let mut off = 0usize;
-            for (port, out) in n.staged_out.iter_mut().enumerate() {
-                let take = n.push_rates[port] as usize;
-                let end = (off + take).min(n.staged_in[0].len());
-                out.extend_from_slice(&n.staged_in[0][off..end]);
-                // Short input (itself an upstream error effect): pad the
-                // distribution with zeros to keep rates structural.
-                out.resize(out.len() + take - (end - off), 0);
-                off = end;
-            }
-        }
-        NodeKind::JoinRoundRobin => {
-            for inp in &n.staged_in {
-                n.staged_out[0].extend_from_slice(inp);
-            }
-        }
-        NodeKind::Sink => {
-            for inp in &n.staged_in {
-                n.sink_buf.extend_from_slice(inp);
-            }
-        }
-    }
-
-    for _ in 0..faults.post_flips {
-        let mut bufs: Vec<&mut Vec<u32>> = n.staged_out.iter_mut().collect();
-        if !flip_random_item(&mut bufs, n.injector.rng_mut()) && n.kind == NodeKind::Sink {
-            // Sinks have no outputs; the flip lands in the collected data.
-            let mut bufs = [&mut n.sink_buf];
-            flip_random_item(&mut bufs, n.injector.rng_mut());
-        }
-    }
-    for _ in 0..faults.bursts {
-        let mut bufs: Vec<&mut Vec<u32>> = n.staged_out.iter_mut().collect();
-        if !burst_flip_random_item(&mut bufs, n.injector.rng_mut()) && n.kind == NodeKind::Sink {
-            let mut bufs = [&mut n.sink_buf];
-            burst_flip_random_item(&mut bufs, n.injector.rng_mut());
-        }
-    }
-    if let Some(st) = n.stuck {
-        // A latched defect distorts every word the core produces.
-        for out in &mut n.staged_out {
-            for v in out.iter_mut() {
-                *v = st.apply(*v);
-            }
-        }
-        for v in n.sink_buf[sink_mark..].iter_mut() {
-            *v = st.apply(*v);
-        }
-    }
-    for pert in faults.perturbations {
-        apply_perturbation(&mut n.staged_out, pert, n.injector.rng_mut());
-    }
-    for _ in 0..faults.addressing {
-        apply_addressing_fault(n, queues, config);
-    }
-    for _ in 0..faults.pointer_hits {
-        apply_pointer_fault(n, queues);
-    }
-    for _ in 0..faults.header_hits {
-        apply_header_fault(n, queues);
-    }
-}
-
-/// An addressing error: corrupts a shared queue pointer of a random
-/// attached queue (silently fatal when pointers are unprotected — the
-/// paper's QME class) or, when no queue is attached or on the local-buffer
-/// side of the coin flip, garbles a staged item.
-fn apply_addressing_fault(n: &mut NodeRt, queues: &mut [SimQueue], config: &SimConfig) {
-    let attached: Vec<EdgeId> = n.in_edges.iter().chain(&n.out_edges).copied().collect();
-    let rng = n.injector.rng_mut();
-    let hit_queue = !attached.is_empty() && rng.gen::<bool>();
-    if hit_queue {
-        let e = attached[rng.gen_range(0..attached.len())];
-        let which = if rng.gen::<bool>() {
-            Which::Head
-        } else {
-            Which::Tail
-        };
-        let bit = rng.gen_range(0..20u32); // pointers are small counters
-        queues[e.index()].corrupt_shared_pointer(which, bit);
-    } else {
-        let mut bufs: Vec<&mut Vec<u32>> = n
-            .staged_in
-            .iter_mut()
-            .chain(n.staged_out.iter_mut())
-            .collect();
-        garble_random_item(&mut bufs, rng);
-    }
-    // Unprotected-header ablation: addressing errors can also strike
-    // in-flight header words, silently changing their ids.
-    if let Some(cfg) = config.protection.guard_config() {
-        if !cfg.protect_headers && !attached.is_empty() {
-            let rng = n.injector.rng_mut();
-            let e = attached[rng.gen_range(0..attached.len())];
-            let slot_seed = rng.gen::<u32>();
-            let bit = rng.gen_range(0..8u32); // low id bits: nearby frames
-            queues[e.index()].corrupt_random_header_payload(slot_seed, bit);
-        }
-    }
-}
-
-/// The `PointerCorruption` fault class: every event strikes the shared
-/// head/tail pointer of a random attached queue (QME, concentrated).
-/// Falls back to garbling a staged item when the node has no queues.
-fn apply_pointer_fault(n: &mut NodeRt, queues: &mut [SimQueue]) {
-    let attached: Vec<EdgeId> = n.in_edges.iter().chain(&n.out_edges).copied().collect();
-    let rng = n.injector.rng_mut();
-    if attached.is_empty() {
-        let mut bufs: Vec<&mut Vec<u32>> = n
-            .staged_in
-            .iter_mut()
-            .chain(n.staged_out.iter_mut())
-            .collect();
-        garble_random_item(&mut bufs, rng);
-        return;
-    }
-    let e = attached[rng.gen_range(0..attached.len())];
-    let which = if rng.gen::<bool>() {
-        Which::Head
-    } else {
-        Which::Tail
-    };
-    let bit = rng.gen_range(0..20u32);
-    queues[e.index()].corrupt_shared_pointer(which, bit);
-}
-
-/// The `HeaderCorruption` fault class: every event flips one or two bits
-/// of an in-flight frame-header codeword on a random attached queue,
-/// stressing the HI/AM SECDED path. When no header is in flight (or no
-/// queue is attached) the event degrades to a plain item flip.
-fn apply_header_fault(n: &mut NodeRt, queues: &mut [SimQueue]) {
-    let attached: Vec<EdgeId> = n.in_edges.iter().chain(&n.out_edges).copied().collect();
-    let rng = n.injector.rng_mut();
-    let mut struck = false;
-    if !attached.is_empty() {
-        let e = attached[rng.gen_range(0..attached.len())];
-        let slot_seed = rng.gen::<u32>();
-        // Mostly single-bit (ECC corrects); occasionally double-bit
-        // (SECDED detects, AM recovers conservatively).
-        let bits = if rng.gen::<f64>() < 0.25 { 2 } else { 1 };
-        struck = queues[e.index()].corrupt_random_header_codeword(slot_seed, bits);
-    }
-    if !struck {
-        let rng = n.injector.rng_mut();
-        let mut bufs: Vec<&mut Vec<u32>> = n
-            .staged_in
-            .iter_mut()
-            .chain(n.staged_out.iter_mut())
-            .collect();
-        flip_random_item(&mut bufs, rng);
-    }
-}
-
 /// Watchdog rung 2: forcibly completes the blocking phase of one node
 /// with timeout semantics. Phase bookkeeping is left to the next
 /// `step()` visit, which finds the phase satisfied and moves on.
 fn force_phase(n: &mut NodeRt, queues: &mut [SimQueue]) {
+    let core = &mut n.core;
     match n.phase {
         Phase::DrainHeaders | Phase::Finishing => {
             for (port, &e) in n.out_edges.iter().enumerate() {
-                let q = &mut queues[e.index()];
-                if !n.guard.hi_tick(port, q) {
-                    n.guard.hi_force(port, q);
-                }
+                core.guard.hi_drain_or_force(port, &mut queues[e.index()]);
             }
         }
         Phase::PopInputs => {
             for (port, &e) in n.in_edges.iter().enumerate() {
-                let need = n.pop_rates[port] as usize;
-                while n.staged_in[port].len() < need {
-                    let v = n.guard.timeout_pop(port, &mut queues[e.index()]);
-                    n.staged_in[port].push(v);
+                let need = core.pop_rates[port] as usize;
+                while core.staged_in[port].len() < need {
+                    let v = core.guard.timeout_pop(port, &mut queues[e.index()]);
+                    core.staged_in[port].push(v);
                 }
             }
         }
         Phase::PushOutputs => {
             for (port, &e) in n.out_edges.iter().enumerate() {
-                while n.out_pos[port] < n.staged_out[port].len() {
-                    let v = n.staged_out[port][n.out_pos[port]];
-                    n.guard.timeout_push(port, &mut queues[e.index()], v);
+                while n.out_pos[port] < core.staged_out[port].len() {
+                    let v = core.staged_out[port][n.out_pos[port]];
+                    core.guard.timeout_push(port, &mut queues[e.index()], v);
                     n.out_pos[port] += 1;
                 }
             }
@@ -959,15 +714,9 @@ fn abort_frame(n: &mut NodeRt) {
     if matches!(n.phase, Phase::Done | Phase::Finishing | Phase::Boundary) {
         return;
     }
-    for buf in &mut n.staged_in {
-        buf.clear();
-    }
-    for (port, buf) in n.staged_out.iter_mut().enumerate() {
-        buf.clear();
-        n.out_pos[port] = 0;
-    }
-    let into_frame = n.firings_done % n.reps;
-    n.firings_done = (n.firings_done + (n.reps - into_frame)).min(n.total_firings);
+    n.clear_staged();
+    let into_frame = n.firings_done % n.core.reps;
+    n.firings_done = (n.firings_done + (n.core.reps - into_frame)).min(n.total_firings);
     n.phase = Phase::Boundary;
 }
 
@@ -982,8 +731,9 @@ fn degrade_frame(n: &mut NodeRt, queues: &mut [SimQueue]) {
     if matches!(n.phase, Phase::Done | Phase::Finishing | Phase::Boundary) {
         return;
     }
-    let into_frame = n.firings_done % n.reps;
-    let owed = n.reps - into_frame;
+    let core = &mut n.core;
+    let into_frame = n.firings_done % core.reps;
+    let owed = core.reps - into_frame;
     // When the node was mid-push, the current firing's data is flushed
     // below and that firing no longer needs padding.
     let inflight_done = u64::from(n.phase == Phase::PushOutputs);
@@ -991,50 +741,25 @@ fn degrade_frame(n: &mut NodeRt, queues: &mut [SimQueue]) {
         let q = &mut queues[e.index()];
         // A header still pending from the boundary drain must go first so
         // the next frame's insertion finds the port clear.
-        if !n.guard.hi_tick(port, q) {
-            n.guard.hi_force(port, q);
-        }
-        while n.out_pos[port] < n.staged_out[port].len() {
-            let v = n.staged_out[port][n.out_pos[port]];
-            n.guard.timeout_push(port, q, v);
+        core.guard.hi_drain_or_force(port, q);
+        while n.out_pos[port] < core.staged_out[port].len() {
+            let v = core.staged_out[port][n.out_pos[port]];
+            core.guard.timeout_push(port, q, v);
             n.out_pos[port] += 1;
         }
-        let pad = (owed - inflight_done) * u64::from(n.push_rates[port]);
+        let pad = (owed - inflight_done) * u64::from(core.push_rates[port]);
         for _ in 0..pad {
-            n.guard.timeout_push(port, q, 0);
+            core.guard.timeout_push(port, q, 0);
         }
     }
-    if n.kind == NodeKind::Sink {
-        let per_firing: u64 = n.pop_rates.iter().map(|&r| u64::from(r)).sum();
+    if core.kind == NodeKind::Sink {
+        let per_firing: u64 = core.pop_rates.iter().map(|&r| u64::from(r)).sum();
         let pad = (owed - inflight_done) * per_firing;
-        n.sink_buf.resize(n.sink_buf.len() + pad as usize, 0);
+        core.sink_buf.resize(core.sink_buf.len() + pad as usize, 0);
     }
-    for buf in &mut n.staged_in {
-        buf.clear();
-    }
-    for (port, buf) in n.staged_out.iter_mut().enumerate() {
-        buf.clear();
-        n.out_pos[port] = 0;
-    }
+    n.clear_staged();
     n.firings_done = (n.firings_done + owed).min(n.total_firings);
     n.phase = Phase::Boundary;
-}
-
-/// Telemetry sampling at a frame commit: high-water occupancy and
-/// cumulative ECC totals over the queues this core consumes (queues are
-/// attributed to their consumer side, matching `NodeReport`).
-fn sample_consumer_edges(n: &NodeRt, queues: &[SimQueue]) -> (u64, u64, u64) {
-    let mut occ = 0u64;
-    let mut det = 0u64;
-    let mut corr = 0u64;
-    for &e in &n.in_edges {
-        let q = &queues[e.index()];
-        occ = occ.max(u64::from(q.occupancy()));
-        let ecc = q.stats().ecc;
-        det += ecc.detections;
-        corr += ecc.corrections;
-    }
-    (occ, det, corr)
 }
 
 /// Per-node progress digest for busy/stall visit classification: node
@@ -1045,9 +770,9 @@ fn node_visit_fingerprint(n: &NodeRt, queues: &[SimQueue]) -> u64 {
     let mix = |acc: u64, v: u64| (acc ^ v).wrapping_mul(FNV_PRIME);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     h = mix(h, n.firings_done);
-    h = mix(h, n.instructions);
+    h = mix(h, n.core.instructions);
     h = mix(h, phase_rank(n.phase));
-    h = mix(h, n.staged_in.iter().map(|b| b.len() as u64).sum());
+    h = mix(h, n.core.staged_in.iter().map(|b| b.len() as u64).sum());
     h = mix(h, n.out_pos.iter().map(|&p| p as u64).sum());
     for &e in n.in_edges.iter().chain(&n.out_edges) {
         let s = queues[e.index()].stats();
@@ -1073,9 +798,9 @@ fn progress_fingerprint(nodes: &[NodeRt], queues: &[SimQueue]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for n in nodes {
         h = mix(h, n.firings_done);
-        h = mix(h, n.instructions);
+        h = mix(h, n.core.instructions);
         h = mix(h, phase_rank(n.phase));
-        h = mix(h, n.staged_in.iter().map(|b| b.len() as u64).sum());
+        h = mix(h, n.core.staged_in.iter().map(|b| b.len() as u64).sum());
         h = mix(h, n.out_pos.iter().map(|&p| p as u64).sum());
     }
     for q in queues {

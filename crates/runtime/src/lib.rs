@@ -58,6 +58,7 @@
 //! ```
 
 mod config;
+mod engine;
 mod exec;
 mod faults;
 mod overhead;

@@ -5,12 +5,15 @@
 //! The deterministic executor ([`crate::run`]) is the measurement
 //! instrument — bit-reproducible, with scheduler-round-accurate fault
 //! timing. This executor shows the same guarded programs running with
-//! *real* parallelism, and it is fault-tolerant in its own right: each
-//! worker owns a per-core deterministic fault injector (streams seeded
-//! from the run seed and the core id, so a seed reproduces the same
-//! per-core fault *sequence* even though thread interleaving varies) and
-//! a recovery path that guarantees the run completes — degraded, maybe,
-//! but never hung and never aborted.
+//! *real* parallelism, and it is fault-tolerant in its own right. Each
+//! worker drives one [`NodeCore`](crate::engine::NodeCore) — the same
+//! firing body, guard, per-core fault injector (seeded from the run seed
+//! and the core id, so a seed reproduces the same per-core fault
+//! *sequence* even though thread interleaving varies) and fault effects
+//! as the deterministic executor — through its SPSC endpoints
+//! ([`SpscPorts`]). What is threaded-only is scheduling: blocking waits,
+//! wall-clock pacing, and a recovery path that guarantees the run
+//! completes — degraded, maybe, but never hung and never aborted.
 //!
 //! ## Recovery ladder
 //!
@@ -61,11 +64,11 @@
 //! instead of hanging the run; the stall timeout backstops everything
 //! else.
 
-use cg_fault::{CoreInjector, StuckAtState};
+use cg_fault::DetRng;
 use cg_graph::{EdgeId, NodeId, NodeKind};
 use cg_queue::{
     spsc_pair_with, QueueSpec, QueueStats, SimQueue, SpscConsumer, SpscProducer, SpscStats,
-    WaitError, Which,
+    WaitError,
 };
 use cg_telemetry::{Clock, ClockMode, CoreProbe};
 use cg_trace::{Event, MACHINE_CORE};
@@ -73,10 +76,7 @@ use commguard::CoreGuard;
 use rand::Rng;
 
 use crate::config::SimConfig;
-use crate::faults::{
-    apply_perturbation, burst_flip_random_item, flip_random_item, garble_random_item,
-    partition_events,
-};
+use crate::engine::{prepare, Ports};
 use crate::pacing::{PacedSource, PacingReport};
 use crate::program::Program;
 use crate::report::{NodeReport, RunReport};
@@ -92,20 +92,30 @@ pub enum ParTransport {
     LockFree,
 }
 
-/// Runs `f` on the queue behind attached-port index `idx`, where the
-/// fault machinery numbers a node's ports in-edges first, then out-edges
-/// (matching the historical `attached` edge list, so per-seed fault
-/// targeting is unchanged).
-fn with_attached_queue<R>(
-    in_ports: &mut [SpscConsumer],
-    out_ports: &mut [SpscProducer],
-    idx: usize,
-    f: impl FnOnce(&mut SimQueue) -> R,
-) -> R {
-    if idx < in_ports.len() {
-        in_ports[idx].with(f)
-    } else {
-        out_ports[idx - in_ports.len()].with(f)
+/// A worker's ports: the SPSC endpoint views it owns. Dropping them
+/// closes the endpoints, which is how a dead worker surfaces to its peers.
+pub(crate) struct SpscPorts {
+    pub(crate) ins: Vec<SpscConsumer>,
+    pub(crate) outs: Vec<SpscProducer>,
+}
+
+impl Ports for SpscPorts {
+    fn attached(&self) -> usize {
+        self.ins.len() + self.outs.len()
+    }
+
+    fn with_attached<R>(&mut self, idx: usize, f: impl FnOnce(&mut SimQueue) -> R) -> R {
+        match idx.checked_sub(self.ins.len()) {
+            None => self.ins[idx].with(f),
+            Some(out) => self.outs[out].with(f),
+        }
+    }
+
+    /// Threaded workers model the guard's own soft state as a fault
+    /// surface: an addressing error can land there, where checked
+    /// triplication heals it at the next scrub point.
+    fn strike_guard_state(&mut self, guard: &mut CoreGuard, rng: &mut DetRng) {
+        guard.corrupt_guard_state(u64::from(rng.gen::<u32>()));
     }
 }
 
@@ -120,110 +130,6 @@ enum FrameFail {
 
 fn stall_error(node: &str, action: &str, edge: &str, err: WaitError) -> RunError {
     RunError::Parallel(format!("node '{node}' {action} on edge {edge}: {err}"))
-}
-
-/// Threaded mirror of the deterministic executor's addressing fault:
-/// corrupts a shared queue pointer of a random attached queue or garbles
-/// a staged item, optionally strikes an in-flight header payload when
-/// the unprotected-header ablation is active, and — threaded-only — can
-/// land in the guard's own soft state, where checked triplication heals
-/// it at the next scrub point.
-fn par_addressing_fault(
-    in_ports: &mut [SpscConsumer],
-    out_ports: &mut [SpscProducer],
-    staged_in: &mut [Vec<u32>],
-    staged_out: &mut [Vec<u32>],
-    injector: &mut CoreInjector,
-    guard: &mut CoreGuard,
-    headers_unprotected: bool,
-) {
-    let attached = in_ports.len() + out_ports.len();
-    let rng = injector.rng_mut();
-    let hit_queue = attached > 0 && rng.gen::<bool>();
-    if hit_queue {
-        let idx = rng.gen_range(0..attached);
-        let which = if rng.gen::<bool>() {
-            Which::Head
-        } else {
-            Which::Tail
-        };
-        let bit = rng.gen_range(0..20u32); // pointers are small counters
-        with_attached_queue(in_ports, out_ports, idx, |q| {
-            q.corrupt_shared_pointer(which, bit);
-        });
-    } else {
-        let mut bufs: Vec<&mut Vec<u32>> =
-            staged_in.iter_mut().chain(staged_out.iter_mut()).collect();
-        garble_random_item(&mut bufs, rng);
-    }
-    if headers_unprotected && attached > 0 {
-        let rng = injector.rng_mut();
-        let idx = rng.gen_range(0..attached);
-        let slot_seed = rng.gen::<u32>();
-        let bit = rng.gen_range(0..8u32); // low id bits: nearby frames
-        with_attached_queue(in_ports, out_ports, idx, |q| {
-            q.corrupt_random_header_payload(slot_seed, bit);
-        });
-    }
-    let sel = u64::from(injector.rng_mut().gen::<u32>());
-    guard.corrupt_guard_state(sel);
-}
-
-/// Threaded mirror of the concentrated `PointerCorruption` class.
-fn par_pointer_fault(
-    in_ports: &mut [SpscConsumer],
-    out_ports: &mut [SpscProducer],
-    staged_in: &mut [Vec<u32>],
-    staged_out: &mut [Vec<u32>],
-    injector: &mut CoreInjector,
-) {
-    let attached = in_ports.len() + out_ports.len();
-    let rng = injector.rng_mut();
-    if attached == 0 {
-        let mut bufs: Vec<&mut Vec<u32>> =
-            staged_in.iter_mut().chain(staged_out.iter_mut()).collect();
-        garble_random_item(&mut bufs, rng);
-        return;
-    }
-    let idx = rng.gen_range(0..attached);
-    let which = if rng.gen::<bool>() {
-        Which::Head
-    } else {
-        Which::Tail
-    };
-    let bit = rng.gen_range(0..20u32);
-    with_attached_queue(in_ports, out_ports, idx, |q| {
-        q.corrupt_shared_pointer(which, bit);
-    });
-}
-
-/// Threaded mirror of the concentrated `HeaderCorruption` class.
-fn par_header_fault(
-    in_ports: &mut [SpscConsumer],
-    out_ports: &mut [SpscProducer],
-    staged_in: &mut [Vec<u32>],
-    staged_out: &mut [Vec<u32>],
-    injector: &mut CoreInjector,
-) {
-    let attached = in_ports.len() + out_ports.len();
-    let rng = injector.rng_mut();
-    let mut struck = false;
-    if attached > 0 {
-        let idx = rng.gen_range(0..attached);
-        let slot_seed = rng.gen::<u32>();
-        // Mostly single-bit (ECC corrects); occasionally double-bit
-        // (SECDED detects, AM recovers conservatively).
-        let bits = if rng.gen::<f64>() < 0.25 { 2 } else { 1 };
-        struck = with_attached_queue(in_ports, out_ports, idx, |q| {
-            q.corrupt_random_header_codeword(slot_seed, bits)
-        });
-    }
-    if !struck {
-        let rng = injector.rng_mut();
-        let mut bufs: Vec<&mut Vec<u32>> =
-            staged_in.iter_mut().chain(staged_out.iter_mut()).collect();
-        flip_random_item(&mut bufs, rng);
-    }
 }
 
 /// [`run_parallel`] with an explicit transport; [`ParTransport`] has a
@@ -244,27 +150,15 @@ pub fn run_parallel_with(
 ///
 /// # Errors
 ///
-/// Returns [`RunError`] for unbound nodes or inconsistent schedules, and
-/// [`RunError::Parallel`] when an *error-free* run stalls past the
-/// transport timeout or a worker dies. Error-prone runs never error from
-/// faults: they retry and then degrade (worker panics remain fatal).
+/// Returns [`RunError`] for unbound nodes, an invalid effect model (even
+/// when faults are off, as [`crate::run`] does) or inconsistent
+/// schedules, and [`RunError::Parallel`] when an *error-free* run stalls
+/// past the transport timeout or a worker dies. Error-prone runs never
+/// error from faults: they retry and then degrade (worker panics remain
+/// fatal).
 pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, RunError> {
+    let (graph, cores) = prepare(program, config)?;
     let errors_on = config.faults_enabled();
-    program.validate_bound().map_err(RunError::UnboundNode)?;
-    if errors_on {
-        config
-            .effect_model
-            .validate()
-            .map_err(RunError::BadEffectModel)?;
-    }
-    let (graph, mut works) = program.into_parts();
-    let schedule = graph
-        .schedule()
-        .map_err(|e| RunError::Schedule(e.to_string()))?;
-    crate::exec::check_queue_capacity(&graph, &schedule, config.queue_capacity)?;
-    let guard_cfg = config.protection.guard_config();
-    // Unprotected-header ablation (addressing faults strike header words).
-    let headers_unprotected = guard_cfg.as_ref().is_some_and(|c| !c.protect_headers);
     // Recovery replaces hard errors only for fault-injected runs; the
     // error-free executor keeps strict stall/peer-death semantics.
     let recovery = errors_on;
@@ -320,19 +214,11 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
     let mut errors: Vec<RunError> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (id, node) in graph.nodes() {
-            let work = works[id.index()].take();
+        for ((id, node), mut core) in graph.nodes().zip(cores) {
             let in_edges: Vec<_> = node.inputs().to_vec();
             let out_edges: Vec<_> = node.outputs().to_vec();
-            let pop_rates: Vec<u32> = in_edges.iter().map(|&e| graph.edge(e).pop_rate()).collect();
-            let push_rates: Vec<u32> = out_edges
-                .iter()
-                .map(|&e| graph.edge(e).push_rate())
-                .collect();
-            let kind = node.kind();
             let name = node.name().to_string();
-            let cost = *node.cost();
-            let reps = schedule.repetitions(id);
+            let reps = core.reps;
             let frames = config.frames;
             let edge_labels = &edge_labels;
             let wtracer = tracer.clone();
@@ -345,70 +231,43 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
             // of their slots exactly once). The ports travel into the
             // worker closure, so a panic unwind drops — and therefore
             // closes — them.
-            let in_ports: Vec<SpscConsumer> = in_edges
-                .iter()
-                .map(|&e| {
-                    consumers[e.index()]
-                        .take()
-                        .expect("each edge has exactly one consumer")
-                })
-                .collect();
-            let out_ports: Vec<SpscProducer> = out_edges
-                .iter()
-                .map(|&e| {
-                    producers[e.index()]
-                        .take()
-                        .expect("each edge has exactly one producer")
-                })
-                .collect();
+            let mut ports = SpscPorts {
+                ins: in_edges
+                    .iter()
+                    .map(|&e| {
+                        consumers[e.index()]
+                            .take()
+                            .expect("each edge has exactly one consumer")
+                    })
+                    .collect(),
+                outs: out_edges
+                    .iter()
+                    .map(|&e| {
+                        producers[e.index()]
+                            .take()
+                            .expect("each edge has exactly one producer")
+                    })
+                    .collect(),
+            };
             let worker = move || -> Result<ThreadResult, RunError> {
-                let mut in_ports = in_ports;
-                let mut out_ports = out_ports;
-                let mut guard = match &guard_cfg {
-                    Some(cfg) => CoreGuard::new(
-                        in_edges.len(),
-                        out_edges.len(),
-                        cfg,
-                        u32::try_from(frames.div_ceil(u64::from(cfg.frame_scale))).ok(),
-                    ),
-                    None => CoreGuard::disabled(in_edges.len(), out_edges.len()),
-                };
-                let mut injector = if errors_on {
-                    CoreInjector::new(
-                        config.mtbe,
-                        config.effect_model,
-                        config.seed,
-                        u64::from(core_id),
-                    )
-                } else {
-                    CoreInjector::disabled(config.seed, u64::from(core_id))
-                };
-                let mut stuck: Option<StuckAtState> = None;
-                let mut work = work;
-                let mut staged_in: Vec<Vec<u32>> = vec![Vec::new(); in_edges.len()];
-                let mut staged_out: Vec<Vec<u32>> = vec![Vec::new(); out_edges.len()];
                 // Frame-local recovery state: post-AM values popped this
                 // frame (for replay), the replay cursor, and how much of
                 // each port's frame output is already on the wire.
                 let mut input_log: Vec<Vec<u32>> = vec![Vec::new(); in_edges.len()];
                 let mut replayed: Vec<usize> = vec![0; in_edges.len()];
                 let mut committed: Vec<usize> = vec![0; out_edges.len()];
-                let mut sink_buf: Vec<u32> = Vec::new();
-                let mut instructions = 0u64;
                 let mut timeouts = 0u64;
                 let mut retries = 0u64;
                 let mut degrades = 0u64;
                 let mut deadline_degrades = 0u64;
                 let mut pace_acc = PacingReport::for_pacing(config.pacing, "us");
-                let items_moved: u64 = pop_rates.iter().map(|&r| u64::from(r)).sum::<u64>()
-                    + push_rates.iter().map(|&r| u64::from(r)).sum::<u64>();
-                guard.start();
+                core.guard.start();
                 for frame in 0..frames {
                     // Paced sources release frames on the period schedule
                     // (sleeping *before* the telemetry frame opens, so
                     // pacing idle never counts as frame latency); every
                     // other node paces naturally on data arrival.
-                    if kind == NodeKind::Source {
+                    if core.kind == NodeKind::Source {
                         pace.wait_release(frame);
                     }
                     // Open the telemetry frame before the boundary flush so
@@ -417,16 +276,16 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                     let frame_retries0 = retries;
                     let frame_degrades0 = degrades;
                     if frame > 0 {
-                        for p in &mut out_ports {
+                        for p in &mut ports.outs {
                             p.with(SimQueue::flush);
                         }
-                        guard.scope_boundary();
+                        core.guard.scope_boundary();
                     }
                     // Drain pending headers (block on full queues).
                     for (port, &e) in out_edges.iter().enumerate() {
                         let w0 = probe.wait_begin();
                         let drained =
-                            out_ports[port].produce(|q| guard.hi_tick(port, q).then_some(()));
+                            ports.outs[port].produce(|q| core.guard.hi_tick(port, q).then_some(()));
                         probe.wait_end(w0);
                         if let Err(w) = drained {
                             if !recovery {
@@ -442,15 +301,11 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                             }
                             // Force the header out so the next boundary
                             // finds the port clear.
-                            out_ports[port].with(|q| {
-                                if !guard.hi_tick(port, q) {
-                                    guard.hi_force(port, q);
-                                }
-                            });
+                            ports.outs[port].with(|q| core.guard.hi_drain_or_force(port, q));
                         }
                     }
                     // Frame checkpoint: everything a retry must restore.
-                    let sink_mark = sink_buf.len();
+                    let sink_mark = core.sink_buf.len();
                     for log in &mut input_log {
                         log.clear();
                     }
@@ -459,14 +314,9 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                     let mut deadline_cut = false;
                     'attempts: loop {
                         let attempt_start = if paced_on { pace.now() } else { 0 };
-                        sink_buf.truncate(sink_mark);
+                        core.sink_buf.truncate(sink_mark);
                         replayed.fill(0);
-                        for b in &mut staged_in {
-                            b.clear();
-                        }
-                        for b in &mut staged_out {
-                            b.clear();
-                        }
+                        core.clear_staged();
                         let mut produced: Vec<usize> = vec![0; out_edges.len()];
                         let mut fail: Option<FrameFail> = None;
                         // Overload shedding: a frame already past its
@@ -489,23 +339,24 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                                 if fail.is_some() {
                                     break;
                                 }
-                                let need = pop_rates[port] as usize;
+                                let need = core.pop_rates[port] as usize;
                                 if recovery {
                                     let avail = input_log[port].len() - replayed[port];
                                     if avail > 0 {
                                         let take = avail.min(need);
                                         let from = replayed[port];
-                                        staged_in[port]
+                                        core.staged_in[port]
                                             .extend_from_slice(&input_log[port][from..from + take]);
                                         replayed[port] += take;
                                     }
                                 }
-                                let live_from = staged_in[port].len();
-                                while staged_in[port].len() < need {
-                                    let buf = &mut staged_in[port];
+                                let live_from = core.staged_in[port].len();
+                                while core.staged_in[port].len() < need {
+                                    let buf = &mut core.staged_in[port];
                                     let max = need - buf.len();
+                                    let guard = &mut core.guard;
                                     let w0 = probe.wait_begin();
-                                    let popped = in_ports[port].consume(|q| {
+                                    let popped = ports.ins[port].consume(|q| {
                                         let got = guard.pop_batch(port, q, buf, max);
                                         (got > 0).then_some(())
                                     });
@@ -532,7 +383,8 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                                 if recovery {
                                     // Log live pops so a retry replays them
                                     // without touching the queue (or AM).
-                                    let (stage, log) = (&staged_in[port], &mut input_log[port]);
+                                    let (stage, log) =
+                                        (&core.staged_in[port], &mut input_log[port]);
                                     log.extend_from_slice(&stage[live_from..]);
                                     replayed[port] = log.len();
                                 }
@@ -540,135 +392,15 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                             if fail.is_some() {
                                 break 'firings;
                             }
-                            // Charge instructions and collect fault events
-                            // (same pacing as the deterministic executor).
-                            let instr = cost.firing_cost(items_moved);
-                            instructions += instr;
-                            let firing_faults = if errors_on {
-                                let events = injector.advance(instr);
-                                Some(partition_events(
-                                    config.fault_class,
-                                    &events,
-                                    &mut injector,
-                                    &mut stuck,
-                                ))
-                            } else {
-                                None
-                            };
-                            if let Some(f) = &firing_faults {
-                                for _ in 0..f.pre_flips {
-                                    let mut bufs: Vec<&mut Vec<u32>> =
-                                        staged_in.iter_mut().collect();
-                                    flip_random_item(&mut bufs, injector.rng_mut());
-                                }
-                            }
-                            let sink_fire_mark = sink_buf.len();
-                            // The compute body.
-                            match kind {
-                                NodeKind::Source | NodeKind::Filter => {
-                                    work.as_mut()
-                                        .expect("bound")
-                                        .fire(&staged_in, &mut staged_out);
-                                }
-                                NodeKind::SplitDuplicate => {
-                                    for out in &mut staged_out {
-                                        out.extend_from_slice(&staged_in[0]);
-                                    }
-                                }
-                                NodeKind::SplitRoundRobin => {
-                                    let mut off = 0usize;
-                                    for (port, out) in staged_out.iter_mut().enumerate() {
-                                        let take = push_rates[port] as usize;
-                                        let end = (off + take).min(staged_in[0].len());
-                                        out.extend_from_slice(&staged_in[0][off..end]);
-                                        // Short input (an upstream error
-                                        // effect): keep rates structural.
-                                        out.resize(out.len() + take - (end - off), 0);
-                                        off = end;
-                                    }
-                                }
-                                NodeKind::JoinRoundRobin => {
-                                    for inp in &staged_in {
-                                        staged_out[0].extend_from_slice(inp);
-                                    }
-                                }
-                                NodeKind::Sink => {
-                                    for inp in &staged_in {
-                                        sink_buf.extend_from_slice(inp);
-                                    }
-                                }
-                            }
-                            if let Some(f) = firing_faults {
-                                for _ in 0..f.post_flips {
-                                    let mut bufs: Vec<&mut Vec<u32>> =
-                                        staged_out.iter_mut().collect();
-                                    if !flip_random_item(&mut bufs, injector.rng_mut())
-                                        && kind == NodeKind::Sink
-                                    {
-                                        let mut bufs = [&mut sink_buf];
-                                        flip_random_item(&mut bufs, injector.rng_mut());
-                                    }
-                                }
-                                for _ in 0..f.bursts {
-                                    let mut bufs: Vec<&mut Vec<u32>> =
-                                        staged_out.iter_mut().collect();
-                                    if !burst_flip_random_item(&mut bufs, injector.rng_mut())
-                                        && kind == NodeKind::Sink
-                                    {
-                                        let mut bufs = [&mut sink_buf];
-                                        burst_flip_random_item(&mut bufs, injector.rng_mut());
-                                    }
-                                }
-                                if let Some(st) = stuck {
-                                    for out in &mut staged_out {
-                                        for v in out.iter_mut() {
-                                            *v = st.apply(*v);
-                                        }
-                                    }
-                                    for v in sink_buf[sink_fire_mark..].iter_mut() {
-                                        *v = st.apply(*v);
-                                    }
-                                }
-                                for pert in f.perturbations {
-                                    apply_perturbation(&mut staged_out, pert, injector.rng_mut());
-                                }
-                                for _ in 0..f.addressing {
-                                    par_addressing_fault(
-                                        &mut in_ports,
-                                        &mut out_ports,
-                                        &mut staged_in,
-                                        &mut staged_out,
-                                        &mut injector,
-                                        &mut guard,
-                                        headers_unprotected,
-                                    );
-                                }
-                                for _ in 0..f.pointer_hits {
-                                    par_pointer_fault(
-                                        &mut in_ports,
-                                        &mut out_ports,
-                                        &mut staged_in,
-                                        &mut staged_out,
-                                        &mut injector,
-                                    );
-                                }
-                                for _ in 0..f.header_hits {
-                                    par_header_fault(
-                                        &mut in_ports,
-                                        &mut out_ports,
-                                        &mut staged_in,
-                                        &mut staged_out,
-                                        &mut injector,
-                                    );
-                                }
-                            }
+                            core.fire(&mut ports);
                             // Guarded runs enforce the static rate before
                             // anything reaches the wire; a violated firing
                             // (control perturbation) re-executes the frame.
-                            if errors_on && guard.is_enabled() {
-                                let rate_ok = staged_out
+                            if errors_on && core.guard.is_enabled() {
+                                let rate_ok = core
+                                    .staged_out
                                     .iter()
-                                    .zip(&push_rates)
+                                    .zip(&core.push_rates)
                                     .all(|(b, &r)| b.len() == r as usize);
                                 if !rate_ok {
                                     fail = Some(FrameFail::Retryable);
@@ -678,13 +410,14 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                             // Push outputs, skipping whatever an earlier
                             // attempt of this frame already committed.
                             for (port, &e) in out_edges.iter().enumerate() {
-                                let buf = &staged_out[port];
+                                let buf = &core.staged_out[port];
+                                let guard = &mut core.guard;
                                 let before = produced[port];
                                 produced[port] += buf.len();
                                 let mut pos = committed[port].saturating_sub(before).min(buf.len());
                                 while pos < buf.len() {
                                     let w0 = probe.wait_begin();
-                                    let pushed = out_ports[port].produce(|q| {
+                                    let pushed = ports.outs[port].produce(|q| {
                                         let got = guard.push_batch(port, q, &buf[pos..]);
                                         (got > 0).then_some(got)
                                     });
@@ -708,7 +441,7 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                                             }
                                             // Never hang: force the rest of
                                             // this firing's output out.
-                                            out_ports[port].with(|q| {
+                                            ports.outs[port].with(|q| {
                                                 for &v in &buf[pos..] {
                                                     guard.timeout_push(port, q, v);
                                                 }
@@ -719,12 +452,7 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                                     }
                                 }
                             }
-                            for b in &mut staged_out {
-                                b.clear();
-                            }
-                            for b in &mut staged_in {
-                                b.clear();
-                            }
+                            core.clear_staged();
                         }
                         let Some(why) = fail else {
                             break 'attempts; // frame committed
@@ -744,9 +472,9 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                                 attempt += 1;
                                 retries += 1;
                                 if wtracer.is_enabled() {
-                                    wtracer.set_context(core_id, frame, guard.active_fc());
+                                    wtracer.set_context(core_id, frame, core.guard.active_fc());
                                     wtracer.emit(Event::FrameRetry {
-                                        frame: guard.active_fc(),
+                                        frame: core.guard.active_fc(),
                                         attempt,
                                     });
                                 }
@@ -766,36 +494,31 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                             deadline_degrades += 1;
                         }
                         if wtracer.is_enabled() {
-                            wtracer.set_context(core_id, frame, guard.active_fc());
+                            wtracer.set_context(core_id, frame, core.guard.active_fc());
                             wtracer.emit(Event::FrameDegraded {
-                                frame: guard.active_fc(),
+                                frame: core.guard.active_fc(),
                             });
                         }
-                        for port in 0..out_edges.len() {
-                            let owed = (reps as usize * push_rates[port] as usize)
-                                .saturating_sub(committed[port]);
+                        for (port, done) in committed.iter_mut().enumerate() {
+                            let owed = (reps as usize * core.push_rates[port] as usize)
+                                .saturating_sub(*done);
                             if owed > 0 {
-                                out_ports[port].with(|q| {
+                                ports.outs[port].with(|q| {
                                     for _ in 0..owed {
-                                        guard.timeout_push(port, q, 0);
+                                        core.guard.timeout_push(port, q, 0);
                                     }
                                 });
-                                committed[port] += owed;
+                                *done += owed;
                             }
                         }
-                        if kind == NodeKind::Sink {
+                        if core.kind == NodeKind::Sink {
                             let per_frame: usize =
-                                pop_rates.iter().map(|&r| r as usize).sum::<usize>()
+                                core.pop_rates.iter().map(|&r| r as usize).sum::<usize>()
                                     * reps as usize;
-                            sink_buf.truncate(sink_mark);
-                            sink_buf.resize(sink_mark + per_frame, 0);
+                            core.sink_buf.truncate(sink_mark);
+                            core.sink_buf.resize(sink_mark + per_frame, 0);
                         }
-                        for b in &mut staged_in {
-                            b.clear();
-                        }
-                        for b in &mut staged_out {
-                            b.clear();
-                        }
+                        core.clear_staged();
                         break 'attempts;
                     }
                     // Deadline accounting happens where the frame becomes
@@ -803,7 +526,7 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                     // frames count too — a pad that lands on time is an
                     // on-time (if lossy) frame, which is the entire point
                     // of the degrade-don't-stall ladder.
-                    if kind == NodeKind::Sink {
+                    if core.kind == NodeKind::Sink {
                         if let Some(acc) = pace_acc.as_mut() {
                             acc.record_commit(
                                 config.pacing.release(frame),
@@ -812,35 +535,22 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                             );
                         }
                     }
-                    if probe.is_enabled() {
-                        // Consumer-side sample: occupancy high-water and
-                        // cumulative ECC activity over this node's in-edges.
-                        let mut occ = 0u64;
-                        let (mut det, mut corr) = (0u64, 0u64);
-                        for p in &mut in_ports {
-                            p.with(|q| {
-                                occ = occ.max(u64::from(q.occupancy()));
-                                let e = q.stats().ecc;
-                                det += e.detections;
-                                corr += e.corrections;
-                            });
-                        }
-                        probe.ecc_sample(det, corr);
-                        probe.frame_commit(
-                            occ,
-                            retries - frame_retries0,
-                            degrades - frame_degrades0,
-                        );
-                    }
+                    core.probe_frame_commit(
+                        &mut ports,
+                        &mut probe,
+                        retries - frame_retries0,
+                        degrades - frame_degrades0,
+                    );
                 }
-                guard.finish();
+                core.guard.finish();
                 // Drain the end-of-computation header. With the consumer
                 // gone and the queue full this used to spin forever; the
                 // wait is bounded, a dead peer is an error naming the
                 // stuck edge, and under recovery the header is forced.
                 for (port, &e) in out_edges.iter().enumerate() {
                     let w0 = probe.wait_begin();
-                    let drained = out_ports[port].produce(|q| guard.hi_tick(port, q).then_some(()));
+                    let drained =
+                        ports.outs[port].produce(|q| core.guard.hi_tick(port, q).then_some(()));
                     probe.wait_end(w0);
                     if let Err(w) = drained {
                         if !recovery {
@@ -854,38 +564,16 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
                         if matches!(w, WaitError::TimedOut) {
                             timeouts += 1;
                         }
-                        out_ports[port].with(|q| {
-                            if !guard.hi_tick(port, q) {
-                                guard.hi_force(port, q);
-                            }
-                        });
+                        ports.outs[port].with(|q| core.guard.hi_drain_or_force(port, q));
                     }
-                    out_ports[port].with(SimQueue::flush);
+                    ports.outs[port].with(SimQueue::flush);
                 }
-                let frames_done = frames;
+                let (report, sink) = core.into_report(frames, reps * frames, timeouts);
                 Ok(ThreadResult {
                     node: id,
-                    in_edges: in_edges.clone(),
-                    report: NodeReport {
-                        name,
-                        instructions,
-                        firings: reps * frames,
-                        frames: frames_done,
-                        instructions_per_frame: if frames_done > 0 {
-                            instructions as f64 / frames_done as f64
-                        } else {
-                            0.0
-                        },
-                        subops: guard.into_subops(),
-                        faults: *injector.stats(),
-                        timeouts,
-                        max_queue_occupancy: 0,
-                    },
-                    sink: if kind == NodeKind::Sink {
-                        Some(sink_buf)
-                    } else {
-                        None
-                    },
+                    in_edges,
+                    report,
+                    sink,
                     retries,
                     degrades,
                     probe,
@@ -944,13 +632,9 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
             .map(|&e| edge_stats[e.index()].max_occupancy)
             .max()
             .unwrap_or(0);
-        report.realignment_episodes += r.report.subops.pad_events + r.report.subops.discard_events;
         wd.frame_retries += r.retries;
         wd.frame_degrades += r.degrades;
-        if let Some(buf) = r.sink {
-            report.sinks.insert(r.node.index(), buf);
-        }
-        report.nodes.push(r.report);
+        report.add_node(r.node.index(), r.report, r.sink);
         probes.push(r.probe);
     }
     report.watchdog = wd;
@@ -1021,6 +705,26 @@ mod tests {
             "same header traffic either way"
         );
         assert_eq!(got.queues.header_pops, want.queues.header_pops);
+    }
+
+    /// Both executors validate the effect model up front, error-free runs
+    /// included.
+    #[test]
+    fn error_free_run_rejects_a_bad_effect_model() {
+        let cfg = SimConfig {
+            effect_model: cg_fault::EffectModel {
+                p_silent: 0.5,
+                ..cg_fault::EffectModel::calibrated()
+            },
+            ..SimConfig::error_free(4)
+        };
+        let (p, _) = program();
+        assert!(matches!(
+            run_parallel(p, &cfg),
+            Err(RunError::BadEffectModel(_))
+        ));
+        let (p, _) = program();
+        assert!(matches!(run(p, &cfg), Err(RunError::BadEffectModel(_))));
     }
 
     #[test]

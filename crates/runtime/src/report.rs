@@ -99,6 +99,16 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Appends node `index`'s report row, folding its realignment
+    /// episodes into the run total and keeping a sink's collected output.
+    pub(crate) fn add_node(&mut self, index: usize, row: NodeReport, sink: Option<Vec<u32>>) {
+        self.realignment_episodes += row.subops.pad_events + row.subops.discard_events;
+        if let Some(buf) = sink {
+            self.sinks.insert(index, buf);
+        }
+        self.nodes.push(row);
+    }
+
     /// The output stream collected at `sink` (empty if none).
     pub fn sink_output(&self, sink: NodeId) -> &[u32] {
         self.sinks
